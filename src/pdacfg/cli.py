@@ -18,7 +18,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .engine import Limits, accepts, cfg_member, enumerate_language
+from .engine import DEFAULT_LIMITS, Limits, accepts, cfg_member, enumerate_language
 from .grammar import classical_pda_to_cfg, pda_to_cfg, prune_useless, sspda_to_cfg
 from .harness import differential_check
 from .model import Cfg
@@ -41,11 +41,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers >= ``low``; anything else is a usage
+    error rather than a data error."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return convert
+
+
+_LENGTH = _int_at_least(0)
+_POSITIVE = _int_at_least(1)
+
+
 def _add_limit_flags(parser):
-    parser.add_argument("--max-configs", type=int, default=100_000,
-                        help="simulator configuration budget (default 100000)")
-    parser.add_argument("--max-depth", type=int, default=64,
-                        help="simulator stack depth bound (default 64)")
+    parser.add_argument("--max-configs", type=_POSITIVE,
+                        default=DEFAULT_LIMITS.max_configs,
+                        help="simulator configuration budget (default %(default)s)")
+    parser.add_argument("--max-depth", type=_POSITIVE,
+                        default=DEFAULT_LIMITS.max_stack_depth,
+                        help="simulator stack depth bound (default %(default)s)")
 
 
 def build_parser() -> _Parser:
@@ -76,12 +96,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("enum", help="list the bounded language of a file")
     p.add_argument("source", help="PDA, single-state PDA, or grammar file")
-    p.add_argument("--max-len", type=int, required=True, help="length bound")
+    p.add_argument("--max-len", type=_LENGTH, required=True, help="length bound")
     _add_limit_flags(p)
 
     p = sub.add_parser("check", help="differential-check the conversion routes")
     p.add_argument("pda", help="multistate PDA file")
-    p.add_argument("--max-len", type=int, default=6, help="length bound (default 6)")
+    p.add_argument("--max-len", type=_LENGTH, default=6, help="length bound (default 6)")
     p.add_argument("--classical", action="store_true",
                    help="also compare against the direct one-step construction")
     _add_limit_flags(p)

@@ -2,7 +2,10 @@
 
 PDA membership runs as a bounded breadth-first search over configurations
 and answers Accepted, Rejected, or Inconclusive; the search never lies, it
-forfeits Rejected the moment a limit prunes anything.  Grammar membership
+forfeits Rejected the moment a limit prunes anything.  Each automaton's
+transitions are indexed once, at its first query, with states and stack
+symbols interned to ints; the index is cached for as long as the automaton
+lives, so repeated queries pay only for the search.  Grammar membership
 uses an Earley chart recognizer that handles epsilon productions, unit
 cycles, and left recursion natively and always terminates, so exact
 questions are best routed through grammars.
@@ -12,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .model import QM, START, Cfg, Configuration, Pda, SingleStatePda
 
@@ -71,24 +75,57 @@ def _inconclusive(reason: str) -> Verdict:
     return Verdict("inconclusive", reason=reason)
 
 
-def _automaton_view(m: Automaton):
-    """Uniform access to either automaton kind: start configuration data,
-    alphabet, and a (state, stack top) -> transitions index."""
-    index = defaultdict(list)
+def _start(m: Automaton) -> tuple:
+    """Start state and start stack symbol of either automaton kind."""
     if isinstance(m, Pda):
-        for t in sorted(m.transitions, key=str):
-            index[(t.from_state, t.pop)].append(t)
-        return m.start_state, m.start_stack, m.input_alphabet, index
+        return m.start_state, m.start_stack
     if isinstance(m, SingleStatePda):
-        for t in sorted(m.transitions, key=str):
-            index[(QM, t.pop)].append(t)
-        return QM, START, m.input_alphabet, index
+        return QM, START
     raise TypeError(f"not an automaton: {type(m).__name__}")
 
 
-def start_configuration(m: Automaton) -> Configuration:
-    state, symbol, _, _ = _automaton_view(m)
-    return Configuration(state, 0, (symbol,))
+class _Compiled(NamedTuple):
+    """An automaton with states and stack symbols interned to ints.
+
+    ``moves[state id][top id]`` lists ``(input, push ids, to id,
+    Transition)`` in ``sorted(..., key=str)`` order, the order the search
+    explores moves in.  The start state and start symbol both have id 0.
+    Nothing here refers back to the automaton, so the cache can drop it.
+    """
+
+    alphabet: frozenset
+    states: dict
+    symbols: dict
+    moves: list
+
+
+def _compile(m: Automaton) -> _Compiled:
+    state, symbol = _start(m)
+    states = {state: 0}
+    symbols = {symbol: 0}
+    rows = defaultdict(list)
+    for t in sorted(m.transitions, key=str):
+        key = (states.setdefault(t.from_state, len(states)),
+               symbols.setdefault(t.pop, len(symbols)))
+        push = tuple(symbols.setdefault(s, len(symbols)) for s in t.push)
+        rows[key].append((t.input, push, states.setdefault(t.to_state, len(states)), t))
+    moves = [[() for _ in symbols] for _ in states]
+    for (from_id, top_id), row in rows.items():
+        moves[from_id][top_id] = tuple(row)
+    return _Compiled(m.input_alphabet, states, symbols, moves)
+
+
+# One compiled form per automaton, built at its first query.  Keys are held
+# weakly, so the index lives exactly as long as the automaton; automata that
+# compare equal share one.
+_COMPILED: "weakref.WeakKeyDictionary[Automaton, _Compiled]" = weakref.WeakKeyDictionary()
+
+
+def _compiled(m: Automaton) -> _Compiled:
+    compiled = _COMPILED.get(m)
+    if compiled is None:
+        compiled = _COMPILED[m] = _compile(m)
+    return compiled
 
 
 def step(m: Automaton, w: str, config: Configuration) -> set[Configuration]:
@@ -97,14 +134,18 @@ def step(m: Automaton, w: str, config: Configuration) -> set[Configuration]:
     Reading moves need the next character to match and advance the input
     position; epsilon moves do not.  An empty stack has no successors.
     """
-    _, _, _, index = _automaton_view(m)
+    _, states, symbols, moves = _compiled(m)
     if not config.stack:
         return set()
+    from_id = states.get(config.state)
+    top_id = symbols.get(config.stack[0])
+    if from_id is None or top_id is None:
+        return set()
     successors = set()
-    for t in index.get((config.state, config.stack[0]), ()):
-        if t.input is None:
+    for inp, _, _, t in moves[from_id][top_id]:
+        if inp is None:
             pos = config.input_pos
-        elif config.input_pos < len(w) and w[config.input_pos] == t.input:
+        elif config.input_pos < len(w) and w[config.input_pos] == inp:
             pos = config.input_pos + 1
         else:
             continue
@@ -119,47 +160,54 @@ def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     empty stack; the witness is the move-minimal transition sequence.
     Rejected only when the frontier empties with nothing ever pruned;
     otherwise the verdict is Inconclusive naming the limit hit.
+
+    Configurations are ``(state id, input position, stack of symbol ids)``
+    tuples over the automaton's compiled index.
     """
-    state, symbol, alphabet, index = _automaton_view(m)
+    alphabet, _, _, moves = _compiled(m)
     for ch in w:
         if ch not in alphabet:
             raise ValueError(f"input character {ch!r} is not in the alphabet")
 
-    start = Configuration(state, 0, (symbol,))
+    n = len(w)
+    max_configs = limits.max_configs
+    max_depth = limits.max_stack_depth
+    start = (0, 0, (0,))
     queue = deque([start])
-    seen = {start}
-    parents: dict[Configuration, tuple] = {start: None}
+    # Doubles as the seen set: every configuration ever queued has a parent.
+    parents: dict[tuple, tuple] = {start: None}
     explored = 0
     pruned = False
     while queue:
-        if explored >= limits.max_configs:
+        if explored >= max_configs:
             return _inconclusive("max_configs")
         config = queue.popleft()
         explored += 1
-        if config.input_pos == len(w) and not config.stack:
-            witness = []
-            cursor = config
-            while parents[cursor] is not None:
-                cursor, move = parents[cursor]
-                witness.append(move)
-            return _accepted(reversed(witness))
-        if not config.stack:
+        state, pos, stack = config
+        if not stack:
+            if pos == n:
+                witness = []
+                while parents[config] is not None:
+                    config, move = parents[config]
+                    witness.append(move)
+                return _accepted(reversed(witness))
             continue
-        for t in index.get((config.state, config.stack[0]), ()):
-            if t.input is None:
-                pos = config.input_pos
-            elif config.input_pos < len(w) and w[config.input_pos] == t.input:
-                pos = config.input_pos + 1
+        ch = w[pos] if pos < n else None
+        rest = stack[1:]
+        for inp, push, to, t in moves[state][stack[0]]:
+            if inp is None:
+                at = pos
+            elif inp == ch:
+                at = pos + 1
             else:
                 continue
-            stack = t.push + config.stack[1:]
-            if len(stack) > limits.max_stack_depth:
+            successor_stack = push + rest
+            if len(successor_stack) > max_depth:
                 pruned = True
                 continue
-            successor = Configuration(t.to_state, pos, stack)
-            if successor in seen:
+            successor = (to, at, successor_stack)
+            if successor in parents:
                 continue
-            seen.add(successor)
             parents[successor] = (config, t)
             queue.append(successor)
     return _inconclusive("max_stack_depth") if pruned else _REJECTED
@@ -172,7 +220,7 @@ def replay_configurations(m: Automaton, w: str, witness) -> list[Configuration]:
     Raises ValueError if any move does not apply, making this an independent
     check on witnesses rather than a re-search.
     """
-    state, symbol, _, _ = _automaton_view(m)
+    state, symbol = _start(m)
     configs = [Configuration(state, 0, (symbol,))]
     for t in witness:
         config = configs[-1]

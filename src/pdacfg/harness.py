@@ -97,6 +97,8 @@ def differential_check(sources: Sequence[tuple[str, Source]], alphabet,
     """Compare labeled language sources on every string up to ``max_len``."""
     if len(sources) < 2:
         raise ValueError("need at least two sources to compare")
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
     alpha = frozenset(alphabet)
     for label, source in sources:
         if _source_alphabet(source) != alpha:

@@ -116,6 +116,27 @@ def test_usage_errors_exit_64(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "{p1}", "--max-len", "-1"],
+    ["enum", "{p1}", "--max-len", "-1"],
+    ["run", "{p1}", "ab", "--max-configs", "-1"],
+    ["run", "{p1}", "ab", "--max-configs", "0"],
+    ["run", "{p1}", "ab", "--max-depth", "0"],
+    ["check", "{p1}", "--max-depth", "-3"],
+    ["enum", "{p1}", "--max-len", "2", "--max-configs", "0"],
+])
+def test_out_of_range_numbers_are_usage_errors(p1_file, capsys, argv):
+    assert main([arg.format(p1=p1_file) for arg in argv]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err
+
+
+def test_zero_length_bound_checks_the_empty_string(p1_file, capsys):
+    assert main(["check", p1_file, "--max-len", "0"]) == 0
+    assert "checked=1 agree=1" in capsys.readouterr().out
+
+
 def test_flag_conflicts_are_usage_errors(p1_file, capsys):
     assert main(["convert", p1_file, "--stage", "sspda", "--prune"]) == 64
     assert "usage error" in capsys.readouterr().err

@@ -1,28 +1,39 @@
+import weakref
+from collections import deque
+
 import pytest
 from hypothesis import assume, given, settings
 
 from pdacfg import (
     DEFAULT_LIMITS,
+    QM,
+    START,
     Cfg,
     Configuration,
     Limits,
     P1_TEXT,
     Pda,
     Transition,
+    Verdict,
     accepts,
     builtin_corpus,
     cfg_member,
+    classical_pda_to_cfg,
     derivable_strings,
+    differential_check,
     enumerate_language,
     parse_pda,
     pda_to_cfg,
+    random_pda,
     replay_configurations,
+    sspda_to_cfg,
     step,
     strings_up_to,
     to_single_state,
 )
+from pdacfg import engine
 
-from strategies import cfgs
+from strategies import cfgs, pdas
 
 
 @pytest.fixture()
@@ -196,3 +207,105 @@ def test_limits_must_be_positive():
         Limits(0, 5)
     with pytest.raises(ValueError):
         Limits(5, 0)
+
+
+def reference_accepts(m, w, limits=DEFAULT_LIMITS):
+    """Reference simulator: breadth-first search over plain
+    Configuration values, with the moves sorted and indexed per query."""
+    if isinstance(m, Pda):
+        start = Configuration(m.start_state, 0, (m.start_stack,))
+    else:
+        start = Configuration(QM, 0, (START,))
+    index = {}
+    for t in sorted(m.transitions, key=str):
+        index.setdefault((t.from_state, t.pop), []).append(t)
+    queue = deque([start])
+    parents = {start: None}
+    explored = 0
+    pruned = False
+    while queue:
+        if explored >= limits.max_configs:
+            return Verdict("inconclusive", reason="max_configs")
+        config = queue.popleft()
+        explored += 1
+        if config.input_pos == len(w) and not config.stack:
+            witness = []
+            while parents[config] is not None:
+                config, move = parents[config]
+                witness.append(move)
+            return Verdict("accepted", witness=tuple(reversed(witness)))
+        if not config.stack:
+            continue
+        for t in index.get((config.state, config.stack[0]), ()):
+            pos = config.input_pos
+            if t.input is not None:
+                if pos >= len(w) or w[pos] != t.input:
+                    continue
+                pos += 1
+            stack = t.push + config.stack[1:]
+            if len(stack) > limits.max_stack_depth:
+                pruned = True
+                continue
+            successor = Configuration(t.to_state, pos, stack)
+            if successor not in parents:
+                parents[successor] = (config, t)
+                queue.append(successor)
+    return Verdict("inconclusive", reason="max_stack_depth") if pruned else Verdict("rejected")
+
+
+def _assert_matches_reference(m, max_len, limits):
+    for w in strings_up_to(m.input_alphabet, max_len):
+        assert accepts(m, w, limits) == reference_accepts(m, w, limits), w
+
+
+# max_configs=40 cuts P3's longer strings off mid-search; depth 5 prunes P1's.
+@pytest.mark.parametrize("limits", [DEFAULT_LIMITS, Limits(max_configs=40, max_stack_depth=5)])
+def test_simulator_matches_the_reference_on_the_corpus(corpus, limits):
+    for entry in corpus.values():
+        _assert_matches_reference(entry.pda, 6, limits)
+        _assert_matches_reference(to_single_state(entry.pda), 6, limits)
+
+
+def test_small_limits_pin_both_cut_off_reasons(corpus):
+    p3 = to_single_state(corpus["P3"].pda)
+    assert accepts(p3, "abba", Limits(max_configs=70)).reason == "max_configs"
+    assert len(accepts(p3, "abba", Limits(max_configs=71)).witness) == 6
+    p1 = corpus["P1"].pda
+    assert accepts(p1, "aaabbb", Limits(max_stack_depth=3)).reason == "max_stack_depth"
+    assert accepts(p1, "aaabbb", Limits(max_stack_depth=4)).is_accepted
+
+
+@given(pdas())
+@settings(max_examples=40)
+def test_simulator_matches_the_reference_on_random_automata(pda):
+    for limits in (Limits(300, 12), Limits(max_configs=7, max_stack_depth=4)):
+        _assert_matches_reference(pda, 3, limits)
+        _assert_matches_reference(to_single_state(pda), 2, limits)
+
+
+def test_differential_check_compiles_each_automaton_once(corpus, monkeypatch):
+    monkeypatch.setattr(engine, "_COMPILED", weakref.WeakKeyDictionary())
+    compiled = []
+    compile_ = engine._compile
+    monkeypatch.setattr(engine, "_compile", lambda m: compiled.append(m) or compile_(m))
+    p3 = corpus["P3"].pda
+    sspda = to_single_state(p3)
+    sources = [("pda", p3), ("sspda", sspda), ("cfg", sspda_to_cfg(sspda)),
+               ("classical", classical_pda_to_cfg(p3))]
+    report = differential_check(sources, p3.input_alphabet, 4)
+    assert report.agreements == report.checked == 31
+    assert len(compiled) == 2
+    assert compiled[0] is p3 and compiled[1] is sspda
+
+
+def test_dropped_automata_never_hand_their_index_to_another(monkeypatch):
+    monkeypatch.setattr(engine, "_COMPILED", weakref.WeakKeyDictionary())
+    limits = Limits(200, 12)
+    for seed in range(150):
+        pda = random_pda(seed)
+        sspda = to_single_state(pda)
+        for m in (pda, sspda):
+            _assert_matches_reference(m, 2, limits)
+            assert engine._compiled(m) == engine._compile(m)
+        del pda, sspda, m
+        assert len(engine._COMPILED) == 0

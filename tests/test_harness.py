@@ -147,6 +147,12 @@ def test_differential_rejects_alphabet_mismatch(corpus):
             [("p0", corpus["P0"].pda), ("p1", corpus["P1"].pda)], {"a", "b"}, 2)
 
 
+def test_differential_rejects_a_negative_length_bound(corpus):
+    p1 = corpus["P1"].pda
+    with pytest.raises(ValueError):
+        differential_check([("pda", p1), ("cfg", pda_to_cfg(p1))], p1.input_alphabet, -1)
+
+
 def test_random_pda_is_deterministic_and_valid():
     for seed in range(1, 101):
         pda = random_pda(seed)
