@@ -13,24 +13,16 @@ import sys
 from pdacfg import (
     Limits,
     builtin_corpus,
-    classical_pda_to_cfg,
     differential_check,
     random_pda,
+    routes,
     size_stats,
-    sspda_to_cfg,
-    to_single_state,
 )
+from pdacfg.cli import _int_at_least
 
 
 def sweep_one(name, pda, max_len, limits):
-    sspda = to_single_state(pda)
-    sources = [
-        ("pda", pda),
-        ("sspda", sspda),
-        ("cfg", sspda_to_cfg(sspda)),
-        ("classical", classical_pda_to_cfg(pda)),
-    ]
-    report = differential_check(sources, pda.input_alphabet, max_len, limits)
+    report = differential_check(routes(pda, True), pda.input_alphabet, max_len, limits)
     stats = size_stats(pda)
     print(f"{name:8} moves={stats.source_transition_count:2} "
           f"ss_moves={stats.actual_ss_transitions:3} "
@@ -42,13 +34,13 @@ def sweep_one(name, pda, max_len, limits):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-len", type=int, default=6,
+    parser.add_argument("--max-len", type=_int_at_least(0), default=6,
                         help="string length bound (default 6)")
-    parser.add_argument("--random", type=int, default=25,
+    parser.add_argument("--random", type=_int_at_least(0), default=25,
                         help="number of seeded random automata (default 25)")
     parser.add_argument("--seed-base", type=int, default=1)
-    parser.add_argument("--max-configs", type=int, default=5000)
-    parser.add_argument("--max-depth", type=int, default=48)
+    parser.add_argument("--max-configs", type=_int_at_least(1), default=5000)
+    parser.add_argument("--max-depth", type=_int_at_least(1), default=48)
     args = parser.parse_args(argv)
 
     limits = Limits(args.max_configs, args.max_depth)

@@ -37,6 +37,7 @@ from .harness import (
     differential_check,
     random_cfg,
     random_pda,
+    routes,
 )
 from .model import (
     QM,
@@ -64,7 +65,6 @@ from .singlestate import (
 )
 from .textio import (
     ParseError,
-    load_source,
     parse_cfg,
     parse_pda,
     parse_source,
@@ -105,7 +105,6 @@ __all__ = [
     "enumerate_language",
     "expand_push",
     "generating_variables",
-    "load_source",
     "make_triple",
     "parse_cfg",
     "parse_pda",
@@ -120,6 +119,7 @@ __all__ = [
     "render",
     "replay",
     "replay_configurations",
+    "routes",
     "size_stats",
     "sspda_to_cfg",
     "step",

@@ -19,8 +19,8 @@ import sys
 from pathlib import Path
 
 from .engine import DEFAULT_LIMITS, Limits, accepts, cfg_member, enumerate_language
-from .grammar import classical_pda_to_cfg, pda_to_cfg, prune_useless, sspda_to_cfg
-from .harness import differential_check
+from .grammar import classical_pda_to_cfg, pda_to_cfg, prune_useless
+from .harness import differential_check, routes
 from .model import Cfg
 from .singlestate import size_stats, to_single_state
 from .textio import ParseError, parse_cfg, parse_pda, parse_source, render
@@ -184,11 +184,8 @@ def _cmd_enum(args) -> int:
 def _cmd_check(args) -> int:
     pda = parse_pda(_read(args.pda))
     limits = Limits(args.max_configs, args.max_depth)
-    sspda = to_single_state(pda)
-    sources = [("pda", pda), ("sspda", sspda), ("cfg", sspda_to_cfg(sspda))]
-    if args.classical:
-        sources.append(("classical", classical_pda_to_cfg(pda)))
-    report = differential_check(sources, pda.input_alphabet, args.max_len, limits)
+    report = differential_check(
+        routes(pda, args.classical), pda.input_alphabet, args.max_len, limits)
     print(report.table())
     if report.mismatches:
         return EXIT_NO

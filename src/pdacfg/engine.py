@@ -372,6 +372,28 @@ def derivable_strings(cfg: Cfg, max_len: int, max_forms: int = 1_000_000) -> set
     return found
 
 
+def _membership(source: LanguageSource, limits: Limits):
+    """Membership function returning True/False, or None for inconclusive:
+    Earley for grammars, the bounded simulator for automata."""
+    if isinstance(source, Cfg):
+        recognizer = _Recognizer(source)
+        return lambda w: recognizer.member(w)
+
+    def query(w: str):
+        verdict = accepts(source, w, limits)
+        if verdict.is_accepted:
+            return True
+        if verdict.is_rejected:
+            return False
+        return None
+
+    return query
+
+
+def _source_alphabet(source: LanguageSource) -> frozenset[str]:
+    return source.terminals if isinstance(source, Cfg) else source.input_alphabet
+
+
 def strings_up_to(alphabet, max_len: int) -> Iterator[str]:
     """Every string over the alphabet with length <= max_len, shortest first
     and lexicographic within a length."""
@@ -393,16 +415,11 @@ def enumerate_language(source: LanguageSource, max_len: int,
         raise ValueError("max_len must be nonnegative")
     members: set[str] = set()
     complete = True
-    if isinstance(source, Cfg):
-        recognizer = _Recognizer(source)
-        for w in strings_up_to(source.terminals, max_len):
-            if recognizer.member(w):
-                members.add(w)
-        return members, complete
-    for w in strings_up_to(source.input_alphabet, max_len):
-        verdict = accepts(source, w, limits)
-        if verdict.is_accepted:
+    query = _membership(source, limits)
+    for w in strings_up_to(_source_alphabet(source), max_len):
+        member = query(w)
+        if member:
             members.add(w)
-        elif verdict.is_inconclusive:
+        elif member is None:
             complete = False
     return members, complete

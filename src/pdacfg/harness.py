@@ -14,8 +14,10 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
-from .engine import DEFAULT_LIMITS, Limits, _Recognizer, accepts, strings_up_to
+from .engine import DEFAULT_LIMITS, Limits, _membership, _source_alphabet, strings_up_to
+from .grammar import classical_pda_to_cfg, sspda_to_cfg
 from .model import Cfg, Pda, SingleStatePda, Transition
+from .singlestate import to_single_state
 from .textio import parse_pda
 
 Source = Union[Pda, SingleStatePda, Cfg]
@@ -70,25 +72,15 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def _membership(source: Source, limits: Limits):
-    """Membership function returning True/False, or None for inconclusive."""
-    if isinstance(source, Cfg):
-        recognizer = _Recognizer(source)
-        return lambda w: recognizer.member(w)
-
-    def query(w: str):
-        verdict = accepts(source, w, limits)
-        if verdict.is_accepted:
-            return True
-        if verdict.is_rejected:
-            return False
-        return None
-
-    return query
-
-
-def _source_alphabet(source: Source) -> frozenset[str]:
-    return source.terminals if isinstance(source, Cfg) else source.input_alphabet
+def routes(pda: Pda, classical: bool) -> list[tuple[str, Source]]:
+    """The labeled language sources a differential check compares for
+    ``pda``: the automaton, its single-state form, and the staged grammar,
+    plus the direct one-step grammar when ``classical`` is set."""
+    sspda = to_single_state(pda)
+    sources = [("pda", pda), ("sspda", sspda), ("cfg", sspda_to_cfg(sspda))]
+    if classical:
+        sources.append(("classical", classical_pda_to_cfg(pda)))
+    return sources
 
 
 def differential_check(sources: Sequence[tuple[str, Source]], alphabet,

@@ -8,15 +8,18 @@ render byte-identically and ``parse(render(x)) == x``.
 PDA files carry five headers (states, input, stack, start, startstack)
 followed by transition lines ``FROM INPUT POP -> TO PUSH...`` where INPUT is
 one character or ``eps`` and PUSH is a top-first symbol sequence or the
-single token ``eps``.  Grammar files carry optional headers (variables,
-terminals, start) and production lines ``HEAD -> BODY | BODY ...``.
+single token ``eps``.  Single-state PDA files use the same headers and lines
+and the same parser, with their own token decoders: the only state is
+``qm``, stack symbols are ``Zs`` or ``[p,X,q]`` triples, the start stack is
+``Zs`` (which must be declared), and ``Zs`` is never pushed.  Grammar files
+carry optional headers (variables, terminals, start) and production lines
+``HEAD -> BODY | BODY ...``.
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
-from pathlib import Path
 from typing import Optional, Union
 
 from .model import (
@@ -75,12 +78,6 @@ def _split_headers(text: str, known: tuple[str, ...]):
     return headers, body
 
 
-def _require_headers(headers, wanted):
-    for name in wanted:
-        if name not in headers:
-            raise ParseError(None, f"missing header {name!r}")
-
-
 def _single_header_token(headers, name):
     lineno, tokens = headers[name]
     if len(tokens) != 1:
@@ -98,6 +95,92 @@ def parse_ss_symbol(token: str) -> Optional[SsSymbol]:
     return None
 
 
+def _declared(header, decode, invalid: str) -> dict:
+    lineno, tokens = header
+    declared = {}
+    for tok in tokens:
+        value = decode(tok)
+        if value is None:
+            raise ParseError(lineno, f"{invalid} {tok!r}")
+        declared[tok] = value
+    return declared
+
+
+def _parse_declarations(text: str, decode_state, decode_symbol):
+    """Split an automaton file into its headers and move lines, and decode
+    the states, input alphabet and stack alphabet it declares.
+
+    ``decode_state`` and ``decode_symbol`` map a token to the state or stack
+    symbol it spells in the file's format, or to None if it spells none.
+    The declared sets come back as dicts from token to decoded value, keyed
+    by the kind of reference that must resolve in them.
+    """
+    headers, move_lines = _split_headers(text, PDA_HEADERS)
+    for name in PDA_HEADERS:
+        if name not in headers:
+            raise ParseError(None, f"missing header {name!r}")
+    lineno, tokens = headers["states"]
+    if not tokens:
+        raise ParseError(lineno, "empty state set")
+    declared = {
+        "state": _declared(headers["states"], decode_state, "invalid state name"),
+        "input symbol": _declared(headers["input"],
+                                  lambda tok: tok if is_input_symbol(tok) else None,
+                                  "invalid input symbol"),
+        "stack symbol": _declared(headers["stack"], decode_symbol, "invalid stack symbol"),
+    }
+    return headers, move_lines, declared
+
+
+def _resolve(declared: dict, kind: str, tok: str, lineno: int):
+    value = declared[kind].get(tok)
+    if value is None:
+        raise ParseError(lineno, f"undeclared {kind} {tok!r}")
+    return value
+
+
+def _parse_references(headers, move_lines, declared):
+    """Resolve the start headers and every move line against the declared
+    sets.
+
+    Returns the start state, the start stack symbol, and each move as
+    ``(line, (from, input, pop, to, push))`` with its symbols decoded.
+    """
+    lineno, tok = _single_header_token(headers, "start")
+    start_state = _resolve(declared, "state", tok, lineno)
+    lineno, tok = _single_header_token(headers, "startstack")
+    start_stack = _resolve(declared, "stack symbol", tok, lineno)
+
+    moves = []
+    for lineno, tokens in move_lines:
+        if len(tokens) < 6 or tokens[3] != "->":
+            raise ParseError(
+                lineno, "malformed transition line (want: FROM INPUT POP -> TO PUSH...)")
+        frm = _resolve(declared, "state", tokens[0], lineno)
+        to = _resolve(declared, "state", tokens[4], lineno)
+        inp = tokens[1]
+        if inp == "eps":
+            inp = None
+        elif not is_input_symbol(inp):
+            raise ParseError(lineno, f"invalid input symbol {inp!r}")
+        else:
+            inp = _resolve(declared, "input symbol", inp, lineno)
+        pop = _resolve(declared, "stack symbol", tokens[2], lineno)
+        push_toks = tokens[5:]
+        if push_toks == ["eps"]:
+            push = ()
+        elif "eps" in push_toks:
+            raise ParseError(lineno, "eps cannot appear inside a push sequence")
+        else:
+            push = tuple(_resolve(declared, "stack symbol", tok, lineno) for tok in push_toks)
+        moves.append((lineno, (frm, inp, pop, to, push)))
+    return start_state, start_stack, moves
+
+
+def _token(tok: str) -> Optional[str]:
+    return tok if is_token(tok) else None
+
+
 def parse_pda(text: str) -> Pda:
     """Parse the multistate PDA file format.
 
@@ -105,151 +188,33 @@ def parse_pda(text: str) -> Pda:
     validated against the declared sets, with errors reported at the line
     that made them.
     """
-    headers, move_lines = _split_headers(text, PDA_HEADERS)
-    _require_headers(headers, PDA_HEADERS)
-
-    lineno, tokens = headers["states"]
-    if not tokens:
-        raise ParseError(lineno, "empty state set")
-    states = set()
-    for tok in tokens:
-        if not is_token(tok):
-            raise ParseError(lineno, f"invalid state name {tok!r}")
-        states.add(tok)
-
-    lineno, tokens = headers["input"]
-    input_alphabet = set()
-    for tok in tokens:
-        if not is_input_symbol(tok):
-            raise ParseError(lineno, f"invalid input symbol {tok!r}")
-        input_alphabet.add(tok)
-
-    lineno, tokens = headers["stack"]
-    stack_alphabet = set()
-    for tok in tokens:
-        if not is_token(tok):
-            raise ParseError(lineno, f"invalid stack symbol {tok!r}")
-        stack_alphabet.add(tok)
-
-    lineno, start_state = _single_header_token(headers, "start")
-    if start_state not in states:
-        raise ParseError(lineno, f"undeclared state {start_state!r}")
-    lineno, start_stack = _single_header_token(headers, "startstack")
-    if start_stack not in stack_alphabet:
-        raise ParseError(lineno, f"undeclared stack symbol {start_stack!r}")
-
-    transitions = set()
-    for lineno, tokens in move_lines:
-        transitions.add(
-            _parse_move(lineno, tokens, states, input_alphabet, stack_alphabet))
-    return Pda.make(states, input_alphabet, stack_alphabet, transitions,
-                    start_state, start_stack)
-
-
-def _parse_move(lineno, tokens, states, input_alphabet, stack_alphabet):
-    if len(tokens) < 6 or tokens[3] != "->":
-        raise ParseError(
-            lineno, "malformed transition line (want: FROM INPUT POP -> TO PUSH...)")
-    frm, inp_tok, pop, to = tokens[0], tokens[1], tokens[2], tokens[4]
-    push_toks = tokens[5:]
-    if frm not in states:
-        raise ParseError(lineno, f"undeclared state {frm!r}")
-    if to not in states:
-        raise ParseError(lineno, f"undeclared state {to!r}")
-    if inp_tok == "eps":
-        inp = None
-    else:
-        if not is_input_symbol(inp_tok):
-            raise ParseError(lineno, f"invalid input symbol {inp_tok!r}")
-        if inp_tok not in input_alphabet:
-            raise ParseError(lineno, f"undeclared input symbol {inp_tok!r}")
-        inp = inp_tok
-    if pop not in stack_alphabet:
-        raise ParseError(lineno, f"undeclared stack symbol {pop!r}")
-    if push_toks == ["eps"]:
-        push: tuple[str, ...] = ()
-    else:
-        if "eps" in push_toks:
-            raise ParseError(lineno, "eps cannot appear inside a push sequence")
-        for tok in push_toks:
-            if tok not in stack_alphabet:
-                raise ParseError(lineno, f"undeclared stack symbol {tok!r}")
-        push = tuple(push_toks)
-    return Transition(frm, inp, pop, to, push)
+    headers, move_lines, declared = _parse_declarations(text, _token, _token)
+    start_state, start_stack, moves = _parse_references(headers, move_lines, declared)
+    return Pda.make(declared["state"], declared["input symbol"], declared["stack symbol"],
+                    {Transition(*move) for _, move in moves}, start_state, start_stack)
 
 
 def parse_sspda(text: str) -> SingleStatePda:
-    """Parse a single-state PDA file: same line format; the state must be
-    ``qm``, the start stack ``Zs``, and stack symbols Zs or triple tokens."""
-    headers, move_lines = _split_headers(text, PDA_HEADERS)
-    _require_headers(headers, PDA_HEADERS)
-
-    lineno, tokens = headers["states"]
-    if tokens != [QM]:
-        raise ParseError(lineno, f"single-state automaton must declare exactly the state {QM!r}")
-    lineno, tokens = headers["input"]
-    input_alphabet = set()
-    for tok in tokens:
-        if not is_input_symbol(tok):
-            raise ParseError(lineno, f"invalid input symbol {tok!r}")
-        input_alphabet.add(tok)
-
-    lineno, tokens = headers["stack"]
-    stack_alphabet: set[SsSymbol] = set()
-    for tok in tokens:
-        sym = parse_ss_symbol(tok)
-        if sym is None:
-            raise ParseError(lineno, f"invalid stack symbol {tok!r} (want Zs or [p,X,q])")
-        stack_alphabet.add(sym)
-    if START not in stack_alphabet:
-        raise ParseError(lineno, "stack alphabet must contain Zs")
-
-    lineno, tok = _single_header_token(headers, "start")
-    if tok != QM:
-        raise ParseError(lineno, f"start state must be {QM!r}")
-    lineno, tok = _single_header_token(headers, "startstack")
-    if tok != "Zs":
-        raise ParseError(lineno, "start stack symbol must be Zs")
-
-    transitions = set()
-    for lineno, tokens in move_lines:
-        if len(tokens) < 6 or tokens[3] != "->":
-            raise ParseError(
-                lineno, "malformed transition line (want: FROM INPUT POP -> TO PUSH...)")
-        if tokens[0] != QM or tokens[4] != QM:
-            raise ParseError(lineno, f"transitions must stay in state {QM!r}")
-        inp_tok = tokens[1]
-        if inp_tok == "eps":
-            inp = None
-        else:
-            if not is_input_symbol(inp_tok):
-                raise ParseError(lineno, f"invalid input symbol {inp_tok!r}")
-            if inp_tok not in input_alphabet:
-                raise ParseError(lineno, f"undeclared input symbol {inp_tok!r}")
-            inp = inp_tok
-        pop = parse_ss_symbol(tokens[2])
-        if pop is None or pop not in stack_alphabet:
-            raise ParseError(lineno, f"undeclared stack symbol {tokens[2]!r}")
-        push_toks = tokens[5:]
-        if push_toks == ["eps"]:
-            push: tuple[SsSymbol, ...] = ()
-        else:
-            if "eps" in push_toks:
-                raise ParseError(lineno, "eps cannot appear inside a push sequence")
-            decoded = []
-            for tok in push_toks:
-                sym = parse_ss_symbol(tok)
-                if sym is None or sym not in stack_alphabet:
-                    raise ParseError(lineno, f"undeclared stack symbol {tok!r}")
-                if sym == START:
-                    raise ParseError(lineno, "Zs cannot be pushed")
-                decoded.append(sym)
-            push = tuple(decoded)
-        transitions.add(SsTransition(inp, pop, push))
+    """Parse a single-state PDA file: same line format; the only state is
+    ``qm``, stack symbols are Zs or triple tokens, the start stack is Zs,
+    and Zs is never pushed."""
+    headers, move_lines, declared = _parse_declarations(
+        text, lambda tok: tok if tok == QM else None, parse_ss_symbol)
+    # Before the references, so a missing Zs is reported at the stack
+    # header rather than at its first use.
+    if "Zs" not in declared["stack symbol"]:
+        raise ParseError(headers["stack"][0], "stack alphabet must contain Zs")
+    _, start_stack, moves = _parse_references(headers, move_lines, declared)
+    if start_stack != START:
+        raise ParseError(headers["startstack"][0], "start stack symbol must be Zs")
+    for lineno, (_, _, _, _, push) in moves:
+        if START in push:
+            raise ParseError(lineno, "Zs cannot be pushed")
     return SingleStatePda(
-        input_alphabet=frozenset(input_alphabet),
-        stack_alphabet=frozenset(stack_alphabet),
-        transitions=frozenset(transitions),
+        input_alphabet=frozenset(declared["input symbol"]),
+        stack_alphabet=frozenset(declared["stack symbol"].values()),
+        transitions=frozenset(
+            SsTransition(inp, pop, push) for _, (_, inp, pop, _, push) in moves),
     )
 
 
@@ -362,31 +327,23 @@ def _header_line(name: str, symbols) -> str:
     return f"{name}: {rest}" if rest else f"{name}:"
 
 
-def _render_pda(pda: Pda) -> str:
+def _render_automaton(m: Union[Pda, SingleStatePda], verbose: bool) -> str:
+    if isinstance(m, Pda):
+        states, start_state, start_stack, notes = m.states, m.start_state, m.start_stack, None
+    else:
+        states, start_state, start_stack = (QM,), QM, START
+        notes = m.provenance if verbose else None
     lines = [
-        _header_line("states", sorted(pda.states)),
-        _header_line("input", sorted(pda.input_alphabet)),
-        _header_line("stack", sorted(pda.stack_alphabet)),
-        f"start: {pda.start_state}",
-        f"startstack: {pda.start_stack}",
+        _header_line("states", sorted(states)),
+        _header_line("input", sorted(m.input_alphabet)),
+        _header_line("stack", sorted(str(s) for s in m.stack_alphabet)),
+        f"start: {start_state}",
+        f"startstack: {start_stack}",
     ]
-    lines.extend(sorted(str(t) for t in pda.transitions))
-    return "\n".join(lines) + "\n"
-
-
-def _render_sspda(sspda: SingleStatePda, verbose: bool) -> str:
-    lines = [
-        f"states: {QM}",
-        _header_line("input", sorted(sspda.input_alphabet)),
-        _header_line("stack", sorted(str(s) for s in sspda.stack_alphabet)),
-        f"start: {QM}",
-        "startstack: Zs",
-    ]
-    for t in sorted(sspda.transitions, key=str):
-        line = str(t)
-        if verbose and sspda.provenance and t in sspda.provenance:
-            line += "  # from: " + "; ".join(str(p) for p in sspda.provenance[t])
-        lines.append(line)
+    for text, t in sorted(((str(t), t) for t in m.transitions), key=lambda row: row[0]):
+        if notes and t in notes:
+            text += "  # from: " + "; ".join(str(p) for p in notes[t])
+        lines.append(text)
     return "\n".join(lines) + "\n"
 
 
@@ -438,10 +395,8 @@ def render(obj: Union[Pda, SingleStatePda, Cfg], verbose: bool = False) -> str:
     With ``verbose``, single-state transitions and constructed productions
     carry trailing ``# from: ...`` provenance comments.
     """
-    if isinstance(obj, Pda):
-        return _render_pda(obj)
-    if isinstance(obj, SingleStatePda):
-        return _render_sspda(obj, verbose)
+    if isinstance(obj, (Pda, SingleStatePda)):
+        return _render_automaton(obj, verbose)
     if isinstance(obj, Cfg):
         return _render_cfg(obj, verbose)
     raise TypeError(f"cannot render {type(obj).__name__}")
@@ -461,7 +416,3 @@ def parse_source(text: str) -> Union[Pda, SingleStatePda, Cfg]:
             return parse_sspda(text)
     return parse_pda(text)
 
-
-def load_source(path) -> Union[Pda, SingleStatePda, Cfg]:
-    """Read and parse a file via parse_source."""
-    return parse_source(Path(path).read_text(encoding="utf-8"))

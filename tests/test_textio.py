@@ -176,3 +176,109 @@ def test_sspda_round_trip(pda):
 @given(cfgs())
 def test_cfg_round_trip(cfg):
     assert parse_cfg(render(cfg)) == cfg
+
+
+def _edit(text, old, new):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+# One fault per case: (edited text, line of the ParseError, exact message).
+PDA_FAULTS = {
+    "bad state token": (_edit(P1_TEXT, "states: q0 q1", "states: q0 q,1"),
+                        1, "invalid state name 'q,1'"),
+    "bad input token": (_edit(P1_TEXT, "input: a b", "input: a bb"),
+                        2, "invalid input symbol 'bb'"),
+    "bad stack token": (_edit(P1_TEXT, "stack: Z A", "stack: Z A eps"),
+                        3, "invalid stack symbol 'eps'"),
+    "undeclared start": (_edit(P1_TEXT, "start: q0", "start: q9"),
+                         4, "undeclared state 'q9'"),
+    "undeclared startstack": (_edit(P1_TEXT, "startstack: Z", "startstack: W"),
+                              5, "undeclared stack symbol 'W'"),
+    "two-token start": (_edit(P1_TEXT, "start: q0", "start: q0 q1"),
+                        4, "header 'start' needs exactly one symbol"),
+    "undeclared from": (P1_TEXT + "q9 a Z -> q0 eps\n", 12, "undeclared state 'q9'"),
+    "undeclared to": (P1_TEXT + "q0 a Z -> q9 eps\n", 12, "undeclared state 'q9'"),
+    "undeclared input": (P1_TEXT + "q0 c Z -> q0 eps\n", 12,
+                         "undeclared input symbol 'c'"),
+    "undeclared pop": (P1_TEXT + "q0 a W -> q0 eps\n", 12,
+                       "undeclared stack symbol 'W'"),
+    "eps inside push": (P1_TEXT + "q0 a Z -> q0 A eps\n", 12,
+                        "eps cannot appear inside a push sequence"),
+    "empty state set": (_edit(P1_TEXT, "states: q0 q1", "states:"), 1, "empty state set"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PDA_FAULTS))
+def test_parse_pda_fault_table(case):
+    text, line, message = PDA_FAULTS[case]
+    with pytest.raises(ParseError) as err:
+        parse_pda(text)
+    assert (err.value.line, err.value.message) == (line, message)
+
+
+SSPDA_TEXT = """\
+states: qm
+input: a
+stack: Zs [p,Z,p]
+start: qm
+startstack: Zs
+qm eps Zs -> qm [p,Z,p]
+qm a [p,Z,p] -> qm eps
+"""
+
+# One fault per case: (edited text, line of the ParseError).  The messages
+# are not pinned: where a check shared with the PDA format reports the
+# fault, its wording is the PDA format's.
+SSPDA_FAULTS = {
+    "other state": (_edit(SSPDA_TEXT, "states: qm", "states: q0"), 1),
+    "no state": (_edit(SSPDA_TEXT, "states: qm", "states:"), 1),
+    "second state": (_edit(SSPDA_TEXT, "states: qm", "states: qm q1"), 1),
+    "bad input symbol": (_edit(SSPDA_TEXT, "input: a", "input: a bb"), 2),
+    "plain stack symbol": (_edit(SSPDA_TEXT, "stack: Zs [p,Z,p]", "stack: Zs [p,Z,p] W"), 3),
+    "Zs not declared": (_edit(SSPDA_TEXT, "stack: Zs [p,Z,p]", "stack: [p,Z,p]"), 3),
+    "other start state": (_edit(SSPDA_TEXT, "start: qm", "start: q0"), 4),
+    "triple as startstack": (_edit(SSPDA_TEXT, "startstack: Zs", "startstack: [p,Z,p]"), 5),
+    "malformed line": (SSPDA_TEXT + "qm a Zs\n", 8),
+    "move leaves qm": (SSPDA_TEXT + "q1 a Zs -> qm eps\n", 8),
+    "move enters q1": (SSPDA_TEXT + "qm a Zs -> q1 eps\n", 8),
+    "undeclared input": (SSPDA_TEXT + "qm b Zs -> qm eps\n", 8),
+    "invalid input": (SSPDA_TEXT + "qm ab Zs -> qm eps\n", 8),
+    "undeclared pop": (SSPDA_TEXT + "qm a [p,A,p] -> qm eps\n", 8),
+    "undeclared push": (SSPDA_TEXT + "qm a Zs -> qm [p,A,p]\n", 8),
+    "eps inside push": (SSPDA_TEXT + "qm a Zs -> qm [p,Z,p] eps\n", 8),
+    "pushed Zs": (SSPDA_TEXT + "qm a Zs -> qm Zs\n", 8),
+    "duplicate header": (SSPDA_TEXT + "input: a\n", 8),
+    "missing header": (_edit(SSPDA_TEXT, "start: qm\n", ""), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SSPDA_FAULTS))
+def test_parse_sspda_fault_table(case):
+    text, line = SSPDA_FAULTS[case]
+    with pytest.raises(ParseError) as err:
+        parse_sspda(text)
+    assert err.value.line == line
+
+
+def test_sspda_fault_table_base_text_parses():
+    sspda = parse_sspda(SSPDA_TEXT)
+    assert len(sspda.transitions) == 2
+
+
+FAULT_FILES = {**{f"pda {case}": (text, line) for case, (text, line, _) in PDA_FAULTS.items()},
+               **{f"sspda {case}": fault for case, fault in SSPDA_FAULTS.items()}}
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_FILES))
+def test_fault_table_through_the_cli(case, tmp_path, capsys):
+    from pdacfg.cli import main
+
+    text, line = FAULT_FILES[case]
+    path = tmp_path / "fault.pda"
+    path.write_text(text)
+    assert main(["enum", str(path), "--max-len", "1"]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if line is not None:
+        assert captured.err.startswith(f"error: line {line}: ")
