@@ -21,7 +21,7 @@ from pathlib import Path
 from .engine import DEFAULT_LIMITS, Limits, accepts, cfg_member, enumerate_language
 from .grammar import classical_pda_to_cfg, pda_to_cfg, prune_useless
 from .harness import differential_check, routes
-from .model import Cfg
+from .model import Cfg, Pda
 from .singlestate import size_stats, to_single_state
 from .textio import ParseError, parse_cfg, parse_pda, parse_source, render
 
@@ -122,6 +122,19 @@ def _load_automaton(path: str):
     return source
 
 
+def _load_pda(path: str) -> Pda:
+    text = _read(path)
+    try:
+        source = parse_source(text)
+    except ParseError:
+        parse_pda(text)  # a file meant as a PDA keeps the PDA parser's diagnostic
+        raise
+    if isinstance(source, Pda):
+        return source
+    kind = "a grammar" if isinstance(source, Cfg) else "a single-state automaton"
+    raise ValueError(f"{path} holds {kind}; this command needs a multistate PDA")
+
+
 def _emit(payload: str, output) -> None:
     if output:
         Path(output).write_text(payload, encoding="utf-8")
@@ -132,7 +145,7 @@ def _emit(payload: str, output) -> None:
 def _cmd_convert(args) -> int:
     if args.stage == "sspda" and (args.prune or args.classical):
         raise _UsageError("--prune and --classical apply only to --stage cfg")
-    pda = parse_pda(_read(args.input))
+    pda = _load_pda(args.input)
     if args.stage == "sspda":
         payload = render(to_single_state(pda), verbose=args.verbose)
     else:
@@ -182,7 +195,7 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    pda = parse_pda(_read(args.pda))
+    pda = _load_pda(args.pda)
     limits = Limits(args.max_configs, args.max_depth)
     report = differential_check(
         routes(pda, args.classical), pda.input_alphabet, args.max_len, limits)
@@ -195,7 +208,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    stats = size_stats(parse_pda(_read(args.pda)))
+    stats = size_stats(_load_pda(args.pda))
     for field in dataclasses.fields(stats):
         print(f"{field.name}={getattr(stats, field.name)}")
     return EXIT_OK

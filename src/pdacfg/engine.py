@@ -8,7 +8,11 @@ symbols interned to ints; the index is cached for as long as the automaton
 lives, so repeated queries pay only for the search.  Grammar membership
 uses an Earley chart recognizer that handles epsilon productions, unit
 cycles, and left recursion natively and always terminates, so exact
-questions are best routed through grammars.
+questions are best routed through grammars.  Bounded questions about a
+grammar (enumeration, differential checks) walk the string trie depth
+first with one chart column per prefix, so strings share the columns of
+their common prefixes and a prefix no member extends ends its subtree;
+the simulator still answers each string on its own.
 """
 
 from __future__ import annotations
@@ -243,61 +247,124 @@ def replay(m: Automaton, w: str, witness) -> Configuration:
 
 
 class _Recognizer:
-    """Earley chart recognizer over one grammar.
+    """Earley chart recognizer over one grammar, read one column at a time.
 
-    Items are (head, body, dot, origin).  The classic empty-completion gap
-    is closed by remembering which variables have completed emptily at each
-    position and advancing late-arriving parents at prediction time.
+    A dotted rule is a production with a dot in its body; they are numbered
+    so that advancing the dot adds one.  An item is ``(dotted rule,
+    origin)``.  ``_column`` closes column k from its seed items and files
+    every item whose dot stands before a symbol under that symbol, so
+    completion reads ``columns[origin][head]`` and scanning letter c reads
+    column k's ``c`` entry.  Epsilon follows Aycock and Horspool, "Practical
+    Earley Parsing" (2002): nullable variables are computed once, and an
+    item waiting on one is advanced past it as soon as it is filed, so an
+    empty completion never needs to revisit its own column.
+
+    ``member`` walks the builder along one string; ``language`` walks it
+    depth first over every string up to a length, one column per prefix,
+    and skips the subtree under any prefix whose seed set is empty.
     """
 
     def __init__(self, cfg: Cfg):
         self.cfg = cfg
-        self.bodies = defaultdict(list)
-        for head, body in sorted(cfg.productions):
-            self.bodies[head].append(body)
+        productions = sorted(cfg.productions)
+        nullable: set[str] = set()
+        grew = True
+        while grew:
+            grew = False
+            for head, body in productions:
+                if head not in nullable and all(sym in nullable for sym in body):
+                    nullable.add(head)
+                    grew = True
+        self.nullable = frozenset(nullable)
+        # Per dotted rule: the symbol after the dot (None when complete) and
+        # the production's head; per variable: its rules with the dot first.
+        self.next_symbol: list = []
+        self.heads: list[str] = []
+        predict = defaultdict(list)
+        for head, body in productions:
+            predict[head].append(len(self.next_symbol))
+            self.next_symbol.extend(body)
+            self.next_symbol.append(None)
+            self.heads.extend([head] * (len(body) + 1))
+        self.predict = {v: tuple(rules) for v, rules in predict.items()}
+        self.seeds = [(rule, 0) for rule in self.predict.get(cfg.start, ())]
+
+    def _column(self, seeds, columns: list[dict]) -> tuple[dict, bool]:
+        """Close column ``len(columns)`` from its seed items, given the
+        finished columns before it.  Returns the column's items filed by
+        the symbol they wait on, and whether the start variable completed
+        over the whole prefix."""
+        k = len(columns)
+        next_symbol, heads, predict = self.next_symbol, self.heads, self.predict
+        nullable, variables, start = self.nullable, self.cfg.variables, self.cfg.start
+        seen = set()
+        waiting: dict = {}
+        accepting = False
+        agenda = list(seeds)
+        while agenda:
+            item = agenda.pop()
+            if item in seen:
+                continue
+            seen.add(item)
+            rule, origin = item
+            sym = next_symbol[rule]
+            if sym is None:
+                head = heads[rule]
+                if origin == 0 and head == start:
+                    accepting = True
+                # An empty completion (origin == k) found every waiting
+                # parent already advanced past the nullable head.
+                if origin != k:
+                    agenda.extend([(parent + 1, at) for parent, at
+                                   in columns[origin].get(head, ())])
+                continue
+            filed = waiting.get(sym)
+            if filed is None:
+                waiting[sym] = [item]
+                if sym in variables:
+                    agenda.extend([(rule0, k) for rule0 in predict.get(sym, ())])
+            else:
+                filed.append(item)
+            if sym in nullable:
+                agenda.append((rule + 1, origin))
+        return waiting, accepting
 
     def member(self, w: str) -> bool:
         for ch in w:
             if ch not in self.cfg.terminals:
                 raise ValueError(f"character {ch!r} is not a terminal")
-        cfg = self.cfg
-        n = len(w)
-        chart: list[list[tuple]] = [[] for _ in range(n + 1)]
-        in_chart: list[set[tuple]] = [set() for _ in range(n + 1)]
-        completed_empty: list[set[str]] = [set() for _ in range(n + 1)]
+        columns: list[dict] = []
+        seeds = self.seeds
+        for ch in w:
+            waiting, _ = self._column(seeds, columns)
+            columns.append(waiting)
+            seeds = [(rule + 1, origin) for rule, origin in waiting.get(ch, ())]
+            if not seeds:
+                return False
+        return self._column(seeds, columns)[1]
 
-        def add(k: int, item: tuple) -> None:
-            if item not in in_chart[k]:
-                in_chart[k].add(item)
-                chart[k].append(item)
-
-        for body in self.bodies.get(cfg.start, ()):
-            add(0, (cfg.start, body, 0, 0))
-
-        for k in range(n + 1):
-            i = 0
-            while i < len(chart[k]):
-                head, body, dot, origin = chart[k][i]
-                i += 1
-                if dot == len(body):
-                    if origin == k:
-                        completed_empty[k].add(head)
-                    for j in range(len(chart[origin])):
-                        h2, b2, d2, o2 = chart[origin][j]
-                        if d2 < len(b2) and b2[d2] == head:
-                            add(k, (h2, b2, d2 + 1, o2))
-                    continue
-                sym = body[dot]
-                if sym in cfg.variables:
-                    for prod_body in self.bodies.get(sym, ()):
-                        add(k, (sym, prod_body, 0, k))
-                    if sym in completed_empty[k]:
-                        add(k, (head, body, dot + 1, origin))
-                elif k < n and sym == w[k]:
-                    add(k + 1, (head, body, dot + 1, origin))
-        return any(
-            head == cfg.start and dot == len(body) and origin == 0
-            for head, body, dot, origin in chart[n])
+    def language(self, max_len: int) -> set[str]:
+        """Every string of length <= max_len the grammar derives."""
+        letters = sorted(self.cfg.terminals, reverse=True)  # popped in sorted order
+        members: set[str] = set()
+        columns: list[dict] = []
+        pending = [("", self.seeds)]
+        while pending:
+            prefix, seeds = pending.pop()
+            del columns[len(prefix):]
+            waiting, accepting = self._column(seeds, columns)
+            if accepting:
+                members.add(prefix)
+            if len(prefix) == max_len:
+                continue
+            columns.append(waiting)
+            for ch in letters:
+                scanned = waiting.get(ch)
+                # No seeds: no extension of prefix + ch is a member either.
+                if scanned:
+                    pending.append((prefix + ch, [(rule + 1, origin)
+                                                  for rule, origin in scanned]))
+        return members
 
 
 def cfg_member(cfg: Cfg, w: str) -> bool:
@@ -372,12 +439,12 @@ def derivable_strings(cfg: Cfg, max_len: int, max_forms: int = 1_000_000) -> set
     return found
 
 
-def _membership(source: LanguageSource, limits: Limits):
-    """Membership function returning True/False, or None for inconclusive:
-    Earley for grammars, the bounded simulator for automata."""
+def _membership(source: LanguageSource, max_len: int, limits: Limits):
+    """Membership function for strings up to ``max_len`` returning
+    True/False, or None for inconclusive: a lookup in the grammar's walked
+    language, built here once, or the bounded simulator for automata."""
     if isinstance(source, Cfg):
-        recognizer = _Recognizer(source)
-        return lambda w: recognizer.member(w)
+        return _Recognizer(source).language(max_len).__contains__
 
     def query(w: str):
         verdict = accepts(source, w, limits)
@@ -407,16 +474,19 @@ def enumerate_language(source: LanguageSource, max_len: int,
                        limits: Limits = DEFAULT_LIMITS) -> tuple[set[str], bool]:
     """Members of the source's language up to ``max_len``.
 
-    Grammar membership is exact; automaton membership uses the bounded
-    simulator, and ``complete`` is False when any verdict was inconclusive
-    (such strings are excluded rather than guessed at).
+    A grammar's members come from one exact walk of its string trie;
+    automaton membership uses the bounded simulator per string, and
+    ``complete`` is False when any verdict was inconclusive (such strings
+    are excluded rather than guessed at).
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
+    if isinstance(source, Cfg):
+        return _Recognizer(source).language(max_len), True
     members: set[str] = set()
     complete = True
-    query = _membership(source, limits)
-    for w in strings_up_to(_source_alphabet(source), max_len):
+    query = _membership(source, max_len, limits)
+    for w in strings_up_to(source.input_alphabet, max_len):
         member = query(w)
         if member:
             members.add(w)

@@ -96,8 +96,9 @@ def differential_check(sources: Sequence[tuple[str, Source]], alphabet,
         if _source_alphabet(source) != alpha:
             raise ValueError(f"source {label!r} does not share the alphabet")
 
-    queries = [(label, _membership(source, limits)) for label, source in sources]
+    # Timed from here: building a grammar's query walks its whole language.
     started = time.perf_counter()
+    queries = [(label, _membership(source, max_len, limits)) for label, source in sources]
     agreements = 0
     mismatches = []
     inconclusive = []

@@ -222,6 +222,12 @@ def _is_variable_token(tok: str) -> bool:
     return is_token(tok) or parse_ss_symbol(tok) is not None
 
 
+def _infers_variable(tok: str) -> bool:
+    """Whether a body token is a variable in a file with no ``variables:``
+    header: bracketed triples, ``Zs`` and multi-character tokens are."""
+    return parse_ss_symbol(tok) is not None or len(tok) > 1
+
+
 def parse_cfg(text: str) -> Cfg:
     """Parse the grammar file format, expanding ``|`` alternatives.
 
@@ -284,7 +290,7 @@ def parse_cfg(text: str) -> Cfg:
         variables = {head for _, head, _ in raw_prods}
         for _, _, body in raw_prods:
             for tok in body:
-                if parse_ss_symbol(tok) is not None or len(tok) > 1:
+                if _infers_variable(tok):
                     variables.add(tok)
 
     if "start" in headers:
@@ -306,7 +312,7 @@ def parse_cfg(text: str) -> Cfg:
         for tok in body:
             if tok in variables:
                 continue
-            if parse_ss_symbol(tok) is not None or len(tok) > 1:
+            if _infers_variable(tok):
                 raise ParseError(lineno, f"undeclared variable {tok!r}")
             if declared_terms is not None and tok not in declared_terms:
                 raise ParseError(lineno, f"undeclared terminal {tok!r}")
@@ -374,7 +380,7 @@ def _render_cfg(cfg: Cfg, verbose: bool) -> str:
     vars_inferred = set(heads)
     for _, body in cfg.productions:
         for tok in body:
-            if parse_ss_symbol(tok) is not None or len(tok) > 1:
+            if _infers_variable(tok):
                 vars_inferred.add(tok)
     terms_inferred = {
         tok for _, body in cfg.productions for tok in body if tok not in vars_inferred}

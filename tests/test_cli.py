@@ -168,3 +168,32 @@ def test_convert_output_is_deterministic(p1_file, capsys):
     first = capsys.readouterr().out
     main(["convert", p1_file])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("command", [["convert"], ["check", "--max-len", "2"], ["stats"]])
+@pytest.mark.parametrize("flags, kind", [
+    (["--stage", "sspda"], "a single-state automaton"),
+    ([], "a grammar"),
+])
+def test_pda_commands_name_the_kind_of_file_they_were_given(
+        p1_file, tmp_path, capsys, command, flags, kind):
+    converted = tmp_path / "P1.out"
+    assert main(["convert", p1_file, *flags, "-o", str(converted)]) == 0
+    assert main([command[0], str(converted), *command[1:]]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {converted} holds {kind}; this command needs a multistate PDA\n")
+
+
+@pytest.mark.parametrize("command", ["convert", "check", "stats"])
+def test_pda_commands_keep_the_pda_parser_diagnostics(tmp_path, capsys, command):
+    for text, message in [
+        (P1_TEXT.replace("states: q0 q1\n", ""), "error: missing header 'states'\n"),
+        (P1_TEXT.replace("stack: Z A", "stack: Z [q0,A,q0]"),
+         "error: line 3: invalid stack symbol '[q0,A,q0]'\n"),
+    ]:
+        path = tmp_path / "bad.pda"
+        path.write_text(text)
+        assert main([command, str(path)]) == 65
+        assert capsys.readouterr() == ("", message)

@@ -1,5 +1,5 @@
 import weakref
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +24,7 @@ from pdacfg import (
     enumerate_language,
     parse_pda,
     pda_to_cfg,
+    prune_useless,
     random_pda,
     replay_configurations,
     sspda_to_cfg,
@@ -181,6 +182,64 @@ def test_recognizer_matches_the_derivation_oracle(cfg):
         assume(False)  # oracle refused to answer; it never guesses
     for w in strings_up_to(cfg.terminals, 4):
         assert cfg_member(cfg, w) == (w in expected)
+    assert enumerate_language(cfg, 4) == (expected, True)
+
+
+def _grammars(pda):
+    staged = pda_to_cfg(pda)
+    return {"staged": staged, "classical": classical_pda_to_cfg(pda),
+            "pruned": prune_useless(staged)}
+
+
+def _member_loop(cfg, max_len):
+    """The language up to ``max_len`` by one member query per string."""
+    recognizer = engine._Recognizer(cfg)
+    return {w for w in strings_up_to(cfg.terminals, max_len) if recognizer.member(w)}
+
+
+def test_walk_matches_a_member_loop_on_the_corpus_grammars(corpus):
+    for entry in corpus.values():
+        for kind, cfg in _grammars(entry.pda).items():
+            walked = engine._Recognizer(cfg).language(8)
+            assert walked == _member_loop(cfg, 8), (entry.name, kind)
+            known = {w for w in walked if len(w) <= entry.sample_max_len}
+            assert known == entry.expected_members, (entry.name, kind)
+
+
+@given(cfgs())
+@settings(max_examples=40)
+def test_walk_matches_a_member_loop_on_random_grammars(cfg):
+    assert engine._Recognizer(cfg).language(5) == _member_loop(cfg, 5)
+
+
+@pytest.mark.parametrize("cfg, language", [
+    # Mutually nullable variables: A -> B B, B -> eps | A.
+    (Cfg.make({"A", "B"}, {"a"}, {("A", ("B", "B")), ("B", ()), ("B", ("A",))}, "A"),
+     {""}),
+    (Cfg.make({"S"}, {"a"}, {("S", ("S", "S")), ("S", ()), ("S", ("a",))}, "S"),
+     {"", "a", "aa", "aaa", "aaaa"}),
+    (Cfg.make({"S"}, {"a", "b"}, set(), "S"), set()),
+    (Cfg.make({"S"}, set(), {("S", ("S", "S")), ("S", ())}, "S"), {""}),
+    (Cfg.make({"S"}, set(), {("S", ("S",))}, "S"), set()),
+])
+def test_walk_on_nullable_cycles_and_degenerate_grammars(cfg, language):
+    assert _member_loop(cfg, 4) == language
+    assert enumerate_language(cfg, 4) == (language, True)
+
+
+def test_walk_skips_every_prefix_no_member_extends(corpus, monkeypatch):
+    built = []
+    column = engine._Recognizer._column
+    monkeypatch.setattr(engine._Recognizer, "_column",
+                        lambda self, seeds, columns:
+                        built.append(len(columns)) or column(self, seeds, columns))
+    for kind, cfg in _grammars(corpus["P1"].pda).items():
+        built.clear()
+        members, _ = enumerate_language(cfg, 12)
+        assert len(members) == 7, kind
+        # One column per prefix a^i b^j with j <= i and i + j <= 12: 49.
+        assert Counter(built) == {n: n // 2 + 1 for n in range(13)}, kind
+        assert len(built) == 49, kind
 
 
 def test_enumerate_epsilon_grammar():

@@ -1,20 +1,27 @@
+import dataclasses
+import time
+
 import pytest
 
 from pdacfg import (
     Cfg,
+    EquivalenceReport,
     Limits,
+    accepts,
     classical_pda_to_cfg,
     differential_check,
     enumerate_language,
     pda_to_cfg,
     random_cfg,
     random_pda,
+    routes,
     size_stats,
     sspda_to_cfg,
     strings_up_to,
     to_single_state,
     validate_pda,
 )
+from pdacfg import engine, harness
 
 
 def test_all_routes_agree_on_p1(corpus):
@@ -177,3 +184,62 @@ def test_random_cfg_is_deterministic_and_well_formed():
         for head, body in cfg.productions:
             assert head in cfg.variables
             assert all(s in cfg.variables or s in cfg.terminals for s in body)
+
+
+def reference_check(sources, alphabet, max_len, limits):
+    """Reference differential check that queries every source once per
+    string: Earley's ``member`` for grammars, the simulator for automata."""
+    def query(source):
+        if isinstance(source, Cfg):
+            return engine._Recognizer(source).member
+
+        def simulate(w):
+            verdict = accepts(source, w, limits)
+            return None if verdict.is_inconclusive else verdict.is_accepted
+        return simulate
+
+    queries = [(label, query(source)) for label, source in sources]
+    text = {True: "yes", False: "no", None: "inconclusive"}
+    agreements, mismatches, inconclusive = 0, [], []
+    for w in strings_up_to(alphabet, max_len):
+        verdicts = [(label, q(w)) for label, q in queries]
+        if len({v for _, v in verdicts if v is not None}) > 1:
+            mismatches.append((w, tuple((label, text[v]) for label, v in verdicts)))
+        elif any(v is None for _, v in verdicts):
+            inconclusive.extend((w, label) for label, v in verdicts if v is None)
+        else:
+            agreements += 1
+    return EquivalenceReport(tuple(label for label, _ in sources), frozenset(alphabet),
+                             max_len, agreements, tuple(mismatches), tuple(inconclusive), 0.0)
+
+
+def _assert_report_matches_reference(sources, alphabet, max_len, limits):
+    report = differential_check(sources, alphabet, max_len, limits)
+    expected = reference_check(sources, alphabet, max_len, limits)
+    assert dataclasses.replace(report, elapsed=0.0) == expected
+
+
+def test_reports_match_a_per_string_reference_on_the_corpus(corpus):
+    for entry in corpus.values():
+        _assert_report_matches_reference(
+            routes(entry.pda, True), entry.pda.input_alphabet, 8, Limits())
+
+
+def test_reports_match_a_per_string_reference_on_random_automata():
+    limits = Limits(max_configs=5000, max_stack_depth=48)
+    for seed in range(1, 26):
+        pda = random_pda(seed)
+        _assert_report_matches_reference(routes(pda, True), pda.input_alphabet, 3, limits)
+
+
+def test_elapsed_includes_building_the_queries(corpus, monkeypatch):
+    membership = harness._membership
+
+    def slow_membership(*args):
+        time.sleep(0.05)
+        return membership(*args)
+
+    monkeypatch.setattr(harness, "_membership", slow_membership)
+    p0 = corpus["P0"].pda
+    report = differential_check([("pda", p0), ("cfg", pda_to_cfg(p0))], {"a"}, 1)
+    assert report.elapsed >= 0.1
