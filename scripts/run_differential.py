@@ -16,16 +16,15 @@ from pdacfg import (
     differential_check,
     random_pda,
     routes,
-    size_stats,
 )
 from pdacfg.cli import _int_at_least
 
 
 def sweep_one(name, pda, max_len, limits):
-    report = differential_check(routes(pda, True), pda.input_alphabet, max_len, limits)
-    stats = size_stats(pda)
-    print(f"{name:8} moves={stats.source_transition_count:2} "
-          f"ss_moves={stats.actual_ss_transitions:3} "
+    sources = routes(pda, True)
+    report = differential_check(sources, pda.input_alphabet, max_len, limits)
+    print(f"{name:8} moves={len(pda.transitions):2} "
+          f"ss_moves={len(dict(sources)['sspda'].transitions):3} "
           f"{report.summary_line()} ({report.elapsed:.2f}s)")
     if report.mismatches:
         print(report.table())

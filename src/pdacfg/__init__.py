@@ -15,9 +15,7 @@ from .engine import (
     cfg_member,
     derivable_strings,
     enumerate_language,
-    replay,
     replay_configurations,
-    step,
     strings_up_to,
 )
 from .grammar import (
@@ -29,10 +27,8 @@ from .grammar import (
     sspda_to_cfg,
 )
 from .harness import (
-    CorpusEntry,
     EquivalenceReport,
     P1_TEXT,
-    RandomPdaBounds,
     builtin_corpus,
     differential_check,
     random_cfg,
@@ -46,19 +42,13 @@ from .model import (
     Configuration,
     Pda,
     SingleStatePda,
-    SsSymbol,
     SsTransition,
-    StartMarker,
     Transition,
     Triple,
     validate_pda,
 )
 from .singlestate import (
-    Provenance,
-    SizeStats,
     expand_push,
-    make_triple,
-    predicted_transition_count,
     size_stats,
     to_single_state,
     transition_from_provenance,
@@ -79,20 +69,14 @@ __all__ = [
     "START",
     "Cfg",
     "Configuration",
-    "CorpusEntry",
     "DEFAULT_LIMITS",
     "EquivalenceReport",
     "Limits",
     "P1_TEXT",
     "ParseError",
     "Pda",
-    "Provenance",
-    "RandomPdaBounds",
     "SingleStatePda",
-    "SizeStats",
-    "SsSymbol",
     "SsTransition",
-    "StartMarker",
     "Transition",
     "Triple",
     "Verdict",
@@ -105,24 +89,20 @@ __all__ = [
     "enumerate_language",
     "expand_push",
     "generating_variables",
-    "make_triple",
     "parse_cfg",
     "parse_pda",
     "parse_source",
     "parse_sspda",
     "pda_to_cfg",
-    "predicted_transition_count",
     "prune_useless",
     "random_cfg",
     "random_pda",
     "reachable_symbols",
     "render",
-    "replay",
     "replay_configurations",
     "routes",
     "size_stats",
     "sspda_to_cfg",
-    "step",
     "strings_up_to",
     "to_single_state",
     "transition_from_provenance",

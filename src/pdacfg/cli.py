@@ -21,7 +21,7 @@ from pathlib import Path
 from .engine import DEFAULT_LIMITS, Limits, accepts, cfg_member, enumerate_language
 from .grammar import classical_pda_to_cfg, pda_to_cfg, prune_useless
 from .harness import differential_check, routes
-from .model import Cfg, Pda
+from .model import Cfg, Pda, SingleStatePda
 from .singlestate import size_stats, to_single_state
 from .textio import ParseError, parse_cfg, parse_pda, parse_source, render
 
@@ -115,24 +115,27 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_automaton(path: str):
-    source = parse_source(_read(path))
-    if isinstance(source, Cfg):
-        raise ValueError(f"{path} holds a grammar; this command needs an automaton")
-    return source
+_KIND_NAMES = {Pda: "a multistate PDA", SingleStatePda: "a single-state automaton",
+               Cfg: "a grammar"}
+_PARSERS = {Pda: parse_pda, Cfg: parse_cfg}
 
 
-def _load_pda(path: str) -> Pda:
+def _load(path: str, needs: str, *kinds: type):
+    """Parse the file as whichever format it holds, and refuse any kind but
+    ``kinds``, which the message calls ``needs``.  A file that fails to
+    parse, given to a command that takes one kind, is re-read with that
+    kind's parser so it gets the diagnostic meant for that format."""
     text = _read(path)
     try:
         source = parse_source(text)
     except ParseError:
-        parse_pda(text)  # a file meant as a PDA keeps the PDA parser's diagnostic
+        if len(kinds) == 1:
+            _PARSERS[kinds[0]](text)
         raise
-    if isinstance(source, Pda):
-        return source
-    kind = "a grammar" if isinstance(source, Cfg) else "a single-state automaton"
-    raise ValueError(f"{path} holds {kind}; this command needs a multistate PDA")
+    if not isinstance(source, kinds):
+        raise ValueError(
+            f"{path} holds {_KIND_NAMES[type(source)]}; this command needs {needs}")
+    return source
 
 
 def _emit(payload: str, output) -> None:
@@ -145,7 +148,7 @@ def _emit(payload: str, output) -> None:
 def _cmd_convert(args) -> int:
     if args.stage == "sspda" and (args.prune or args.classical):
         raise _UsageError("--prune and --classical apply only to --stage cfg")
-    pda = _load_pda(args.input)
+    pda = _load(args.input, "a multistate PDA", Pda)
     if args.stage == "sspda":
         payload = render(to_single_state(pda), verbose=args.verbose)
     else:
@@ -158,7 +161,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    automaton = _load_automaton(args.pda)
+    automaton = _load(args.pda, "an automaton", Pda, SingleStatePda)
     limits = Limits(args.max_configs, args.max_depth)
     verdict = accepts(automaton, args.string, limits)
     if verdict.is_accepted:
@@ -173,7 +176,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    cfg = parse_cfg(_read(args.cfg))
+    cfg = _load(args.cfg, "a grammar", Cfg)
     if cfg_member(cfg, args.string):
         print("member", file=sys.stderr)
         return EXIT_OK
@@ -195,7 +198,7 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    pda = _load_pda(args.pda)
+    pda = _load(args.pda, "a multistate PDA", Pda)
     limits = Limits(args.max_configs, args.max_depth)
     report = differential_check(
         routes(pda, args.classical), pda.input_alphabet, args.max_len, limits)
@@ -208,7 +211,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    stats = size_stats(_load_pda(args.pda))
+    stats = size_stats(_load(args.pda, "a multistate PDA", Pda))
     for field in dataclasses.fields(stats):
         print(f"{field.name}={getattr(stats, field.name)}")
     return EXIT_OK

@@ -132,31 +132,6 @@ def _compiled(m: Automaton) -> _Compiled:
     return compiled
 
 
-def step(m: Automaton, w: str, config: Configuration) -> set[Configuration]:
-    """Every configuration reachable in one move on query string ``w``.
-
-    Reading moves need the next character to match and advance the input
-    position; epsilon moves do not.  An empty stack has no successors.
-    """
-    _, states, symbols, moves = _compiled(m)
-    if not config.stack:
-        return set()
-    from_id = states.get(config.state)
-    top_id = symbols.get(config.stack[0])
-    if from_id is None or top_id is None:
-        return set()
-    successors = set()
-    for inp, _, _, t in moves[from_id][top_id]:
-        if inp is None:
-            pos = config.input_pos
-        elif config.input_pos < len(w) and w[config.input_pos] == inp:
-            pos = config.input_pos + 1
-        else:
-            continue
-        successors.add(Configuration(t.to_state, pos, t.push + config.stack[1:]))
-    return successors
-
-
 def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Bounded breadth-first membership for empty-stack acceptance.
 
@@ -238,12 +213,6 @@ def replay_configurations(m: Automaton, w: str, witness) -> list[Configuration]:
             pos = config.input_pos + 1
         configs.append(Configuration(t.to_state, pos, t.push + config.stack[1:]))
     return configs
-
-
-def replay(m: Automaton, w: str, witness) -> Configuration:
-    """Final configuration after strictly replaying a witness; callers check
-    for full consumption and an empty stack themselves."""
-    return replay_configurations(m, w, witness)[-1]
 
 
 class _Recognizer:

@@ -13,7 +13,7 @@ import itertools
 from collections import defaultdict
 
 from .model import Cfg, Pda, Production, SingleStatePda, START, validate_pda
-from .singlestate import to_single_state
+from .singlestate import _check_budget, to_single_state
 
 START_VAR = str(START)  # "Zs"
 
@@ -58,6 +58,7 @@ def classical_pda_to_cfg(pda: Pda) -> Cfg:
     problems = validate_pda(pda)
     if problems:
         raise ValueError("invalid automaton: " + problems[0])
+    _check_budget(pda)
     start = "S" if "S" not in pda.input_alphabet else "S0"
     states = sorted(pda.states)
 

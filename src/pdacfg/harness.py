@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 from .engine import DEFAULT_LIMITS, Limits, _membership, _source_alphabet, strings_up_to
 from .grammar import classical_pda_to_cfg, sspda_to_cfg
@@ -48,7 +48,6 @@ class EquivalenceReport:
     @property
     def inconclusive_strings(self) -> tuple[str, ...]:
         flagged = {w for w, _ in self.inconclusive}
-        flagged -= {w for w, _ in self.mismatches}
         return tuple(sorted(flagged, key=lambda w: (len(w), w)))
 
     def summary_line(self) -> str:
@@ -238,29 +237,27 @@ def builtin_corpus() -> list[CorpusEntry]:
     ]
 
 
-class RandomPdaBounds(NamedTuple):
-    """Bounds for the random automaton generator."""
+# Size limits of the random generators.
+_PDA_MAX_STATES = 3
+_PDA_MAX_STACK_SYMS = 3
+_PDA_MAX_MOVES = 6
+_PDA_MAX_PUSH_LEN = 3
+_CFG_MAX_PRODUCTIONS = 6
+_CFG_MAX_BODY_LEN = 3
 
-    max_states: int = 3
-    max_stack_syms: int = 3
-    max_moves: int = 6
-    max_push_len: int = 3
 
-
-def random_pda(seed: int, bounds: RandomPdaBounds = RandomPdaBounds()) -> Pda:
+def random_pda(seed: int) -> Pda:
     """Deterministically generate a valid PDA over the alphabet {a,b}.
 
     Roughly half of the moves are pops so the generated language has a
     fighting chance of being nonempty.
     """
-    if min(bounds) <= 0:
-        raise ValueError("bounds must be positive")
     rng = random.Random(seed)
-    states = tuple(f"q{i}" for i in range(rng.randint(1, bounds.max_states)))
+    states = tuple(f"q{i}" for i in range(rng.randint(1, _PDA_MAX_STATES)))
     stack = ("Z",) + tuple(
-        f"X{i}" for i in range(1, rng.randint(1, bounds.max_stack_syms)))
+        f"X{i}" for i in range(1, rng.randint(1, _PDA_MAX_STACK_SYMS)))
     moves = set()
-    for _ in range(rng.randint(0, bounds.max_moves)):
+    for _ in range(rng.randint(0, _PDA_MAX_MOVES)):
         frm = rng.choice(states)
         to = rng.choice(states)
         inp = rng.choice(("a", "b", None))
@@ -270,26 +267,24 @@ def random_pda(seed: int, bounds: RandomPdaBounds = RandomPdaBounds()) -> Pda:
         else:
             push = tuple(
                 rng.choice(stack)
-                for _ in range(rng.randint(1, bounds.max_push_len)))
+                for _ in range(rng.randint(1, _PDA_MAX_PUSH_LEN)))
         moves.add(Transition(frm, inp, pop, to, push))
     return Pda.make(states, ("a", "b"), stack, moves, states[0], "Z")
 
 
-def random_cfg(seed: int, max_productions: int = 6, max_body_len: int = 3) -> Cfg:
+def random_cfg(seed: int) -> Cfg:
     """Deterministically generate a small grammar over terminals {a,b}.
 
     Bodies are unconstrained draws, so epsilon productions, unit chains, and
     left recursion all occur.
     """
-    if max_productions <= 0 or max_body_len < 0:
-        raise ValueError("bounds must be positive")
     rng = random.Random(seed)
     variables = ("S", "A", "B", "C")[: rng.randint(1, 4)]
     symbols = variables + ("a", "b")
     productions = set()
-    for _ in range(rng.randint(1, max_productions)):
+    for _ in range(rng.randint(1, _CFG_MAX_PRODUCTIONS)):
         head = rng.choice(variables)
         body = tuple(
-            rng.choice(symbols) for _ in range(rng.randint(0, max_body_len)))
+            rng.choice(symbols) for _ in range(rng.randint(0, _CFG_MAX_BODY_LEN)))
         productions.add((head, body))
     return Cfg.make(variables, ("a", "b"), productions, "S")

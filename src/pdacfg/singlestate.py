@@ -69,17 +69,6 @@ class SizeStats:
     collision_count: int
 
 
-def make_triple(pda: Pda, from_state: str, base: str, to_state: str) -> Triple:
-    """Triple [from,base,to] over the automaton's states and stack symbols."""
-    if from_state not in pda.states:
-        raise ValueError(f"undeclared state {from_state!r}")
-    if to_state not in pda.states:
-        raise ValueError(f"undeclared state {to_state!r}")
-    if base not in pda.stack_alphabet:
-        raise ValueError(f"undeclared stack symbol {base!r}")
-    return Triple(from_state, base, to_state)
-
-
 def expand_push(landing: str, push: Sequence[str], outer: str,
                 states: Iterable[str]) -> set[tuple[Triple, ...]]:
     """All triple chains spelling ``push`` from ``landing`` to ``outer``.
@@ -111,6 +100,7 @@ def to_single_state(pda: Pda) -> SingleStatePda:
     problems = validate_pda(pda)
     if problems:
         raise ValueError("invalid automaton: " + problems[0])
+    _check_budget(pda)
 
     states = sorted(pda.states)
     produced: dict[SsTransition, list[Provenance]] = {}
@@ -169,6 +159,21 @@ def predicted_transition_count(pda: Pda) -> int:
     """Closed-form count of generated single-state transitions."""
     n = len(pda.states)
     return n + sum(n ** len(move.push) for move in pda.transitions)
+
+
+# The most rows a conversion may build.  `convert` peaks at roughly 2-3 KB
+# per row and the count grows as |Q|**l per push move, so a larger automaton
+# is refused before anything is built.
+_TRANSITION_BUDGET = 250_000
+
+
+def _check_budget(pda: Pda) -> None:
+    """Raise ValueError if converting ``pda`` would build more rows than
+    ``_TRANSITION_BUDGET``; shared by the staged and classical routes."""
+    rows = predicted_transition_count(pda)
+    if rows > _TRANSITION_BUDGET:
+        raise ValueError(f"conversion would build {rows} rows, "
+                         f"over the budget of {_TRANSITION_BUDGET}")
 
 
 def size_stats(pda: Pda) -> SizeStats:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from pdacfg import P1_TEXT, builtin_corpus, parse_cfg, parse_source, render
@@ -158,9 +160,26 @@ def test_missing_file_exits_65(capsys):
 
 def test_wrong_kind_of_file_exits_65(p1_file, tmp_path, capsys):
     cfg_path = tmp_path / "P1.cfg"
+    sspda_path = tmp_path / "P1.sspda"
     main(["convert", p1_file, "-o", str(cfg_path)])
-    assert main(["run", str(cfg_path), "ab"]) == 65
-    capsys.readouterr()
+    main(["convert", p1_file, "--stage", "sspda", "-o", str(sspda_path)])
+    for command, path, message in [
+        ("run", cfg_path, "holds a grammar; this command needs an automaton"),
+        ("member", p1_file, "holds a multistate PDA; this command needs a grammar"),
+        ("member", sspda_path,
+         "holds a single-state automaton; this command needs a grammar"),
+    ]:
+        assert main([command, str(path), "ab"]) == 65
+        assert capsys.readouterr() == ("", f"error: {path} {message}\n")
+
+
+def test_member_keeps_the_grammar_parser_diagnostics(tmp_path, capsys):
+    # member takes only grammars, so a file that fails to parse is reported
+    # by the grammar parser
+    path = tmp_path / "bad.pda"
+    path.write_text(P1_TEXT.replace("q1 eps Z -> q1 eps", "q1 eps Z -> q9 eps"))
+    assert main(["member", str(path), "ab"]) == 65
+    assert capsys.readouterr() == ("", "error: line 1: unknown header 'states'\n")
 
 
 def test_convert_output_is_deterministic(p1_file, capsys):
@@ -197,3 +216,24 @@ def test_pda_commands_keep_the_pda_parser_diagnostics(tmp_path, capsys, command)
         path.write_text(text)
         assert main([command, str(path)]) == 65
         assert capsys.readouterr() == ("", message)
+
+
+TWELVE_STATES_ONE_LONG_PUSH = (
+    "states: " + " ".join(f"q{i}" for i in range(12)) + "\n"
+    "input: a\nstack: Z\nstart: q0\nstartstack: Z\n"
+    "q0 a Z -> q0 Z Z Z Z Z Z\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["convert"], ["convert", "--classical"], ["convert", "--stage", "sspda"],
+    ["check"], ["stats"],
+])
+def test_automata_over_the_conversion_budget_exit_65(tmp_path, capsys, command):
+    # 12 + 12**6 predicted rows; refused before anything is built
+    path = tmp_path / "big.pda"
+    path.write_text(TWELVE_STATES_ONE_LONG_PUSH)
+    started = time.perf_counter()
+    assert main([command[0], str(path), *command[1:]]) == 65
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr() == (
+        "", "error: conversion would build 2985996 rows, over the budget of 250000\n")

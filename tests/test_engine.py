@@ -28,7 +28,6 @@ from pdacfg import (
     random_pda,
     replay_configurations,
     sspda_to_cfg,
-    step,
     strings_up_to,
     to_single_state,
 )
@@ -40,22 +39,6 @@ from strategies import cfgs, pdas
 @pytest.fixture()
 def p1():
     return parse_pda(P1_TEXT)
-
-
-def test_empty_stack_has_no_successors(p1):
-    assert step(p1, "ab", Configuration("q0", 0, ())) == set()
-
-
-def test_initial_configuration_of_p1_on_ab_has_two_successors(p1):
-    assert step(p1, "ab", Configuration("q0", 0, ("Z",))) == {
-        Configuration("q0", 1, ("A", "Z")),
-        Configuration("q0", 0, ()),
-    }
-
-
-def test_unmatched_configuration_has_no_successors(p1):
-    # state q1 reading "a" with top A: the only A-popping move in q1 wants "b"
-    assert step(p1, "ab", Configuration("q1", 0, ("A", "Z"))) == set()
 
 
 def test_empty_string_is_accepted_in_one_move(p1):

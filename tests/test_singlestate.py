@@ -10,13 +10,14 @@ from pdacfg import (
     Pda,
     Transition,
     Triple,
+    classical_pda_to_cfg,
     expand_push,
-    make_triple,
     parse_pda,
     size_stats,
     to_single_state,
     transition_from_provenance,
 )
+from pdacfg import singlestate
 from pdacfg.model import SsTransition
 
 from strategies import pdas
@@ -27,19 +28,12 @@ def p1():
     return parse_pda(P1_TEXT)
 
 
-def test_make_triple_renders_bracketed(p1):
-    assert str(make_triple(p1, "q0", "Z", "q1")) == "[q0,Z,q1]"
+def test_triple_renders_bracketed():
+    assert str(Triple("q0", "Z", "q1")) == "[q0,Z,q1]"
 
 
-def test_triples_compare_by_components(p1):
-    assert make_triple(p1, "q0", "Z", "q0") != make_triple(p1, "q0", "Z", "q1")
-
-
-def test_make_triple_rejects_undeclared_components(p1):
-    with pytest.raises(ValueError):
-        make_triple(p1, "q9", "Z", "q0")
-    with pytest.raises(ValueError):
-        make_triple(p1, "q0", "W", "q0")
+def test_triples_compare_by_components():
+    assert Triple("q0", "Z", "q0") != Triple("q0", "Z", "q1")
 
 
 def test_single_symbol_push_has_exactly_one_chain():
@@ -112,6 +106,16 @@ def test_invalid_automata_are_refused():
     bad = Pda.make({"p"}, {"a"}, {"Z"}, set(), "missing", "Z")
     with pytest.raises(ValueError):
         to_single_state(bad)
+
+
+@pytest.mark.parametrize("convert", [to_single_state, classical_pda_to_cfg])
+def test_conversions_refuse_automata_over_the_budget(p1, monkeypatch, convert):
+    # P1 predicts exactly 14 rows (see the hand formula above)
+    monkeypatch.setattr(singlestate, "_TRANSITION_BUDGET", 14)
+    convert(p1)
+    monkeypatch.setattr(singlestate, "_TRANSITION_BUDGET", 13)
+    with pytest.raises(ValueError, match="would build 14 rows, over the budget of 13"):
+        convert(p1)
 
 
 def test_size_stats_on_p1(p1):
