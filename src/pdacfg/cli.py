@@ -23,7 +23,7 @@ from .grammar import classical_pda_to_cfg, pda_to_cfg, prune_useless
 from .harness import differential_check, routes
 from .model import Cfg, Pda, SingleStatePda
 from .singlestate import size_stats, to_single_state
-from .textio import ParseError, parse_cfg, parse_pda, parse_source, render
+from .textio import ParseError, parse_pda, parse_source, render
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -117,20 +117,21 @@ def _read(path: str) -> str:
 
 _KIND_NAMES = {Pda: "a multistate PDA", SingleStatePda: "a single-state automaton",
                Cfg: "a grammar"}
-_PARSERS = {Pda: parse_pda, Cfg: parse_cfg}
 
 
 def _load(path: str, needs: str, *kinds: type):
     """Parse the file as whichever format it holds, and refuse any kind but
     ``kinds``, which the message calls ``needs``.  A file that fails to
-    parse, given to a command that takes one kind, is re-read with that
-    kind's parser so it gets the diagnostic meant for that format."""
+    parse is reported by the parser ``parse_source`` picked, except that a
+    command taking only multistate PDAs re-reads it with ``parse_pda``: a
+    broken single-state file, or a PDA file that lost its ``states:``
+    header, then gets the diagnostic meant for a PDA."""
     text = _read(path)
     try:
         source = parse_source(text)
     except ParseError:
-        if len(kinds) == 1:
-            _PARSERS[kinds[0]](text)
+        if kinds == (Pda,):
+            parse_pda(text)
         raise
     if not isinstance(source, kinds):
         raise ValueError(

@@ -9,10 +9,15 @@ lives, so repeated queries pay only for the search.  Grammar membership
 uses an Earley chart recognizer that handles epsilon productions, unit
 cycles, and left recursion natively and always terminates, so exact
 questions are best routed through grammars.  Bounded questions about a
-grammar (enumeration, differential checks) walk the string trie depth
-first with one chart column per prefix, so strings share the columns of
-their common prefixes and a prefix no member extends ends its subtree;
-the simulator still answers each string on its own.
+grammar or an automaton (enumeration, differential checks) walk the
+string trie depth first, so strings share the work of their common
+prefixes: a grammar gets one chart column per prefix, and an automaton one
+set of configurations per prefix, the set the search reaches at that input
+position.  The automaton walk gives exactly the verdict kinds of per-string
+searches: while the configurations along a path stay within the budget,
+a string is decided from them and from whether any tried move was pruned;
+once they exceed it, every string under that prefix gets its own search.
+A prefix with no successors settles its whole subtree at once.
 """
 
 from __future__ import annotations
@@ -93,14 +98,18 @@ class _Compiled(NamedTuple):
 
     ``moves[state id][top id]`` lists ``(input, push ids, to id,
     Transition)`` in ``sorted(..., key=str)`` order, the order the search
-    explores moves in.  The start state and start symbol both have id 0.
-    Nothing here refers back to the automaton, so the cache can drop it.
+    explores moves in.  ``epsilon`` and ``reading`` split the same moves
+    into ``(push ids, to id)`` and ``(input, push ids, to id)`` for the
+    trie walk.  The start state and start symbol both have id 0.  Nothing
+    here refers back to the automaton, so the cache can drop it.
     """
 
     alphabet: frozenset
     states: dict
     symbols: dict
     moves: list
+    epsilon: list
+    reading: list
 
 
 def _compile(m: Automaton) -> _Compiled:
@@ -114,9 +123,15 @@ def _compile(m: Automaton) -> _Compiled:
         push = tuple(symbols.setdefault(s, len(symbols)) for s in t.push)
         rows[key].append((t.input, push, states.setdefault(t.to_state, len(states)), t))
     moves = [[() for _ in symbols] for _ in states]
+    epsilon = [[() for _ in symbols] for _ in states]
+    reading = [[() for _ in symbols] for _ in states]
     for (from_id, top_id), row in rows.items():
         moves[from_id][top_id] = tuple(row)
-    return _Compiled(m.input_alphabet, states, symbols, moves)
+        epsilon[from_id][top_id] = tuple(
+            (push, to) for inp, push, to, _ in row if inp is None)
+        reading[from_id][top_id] = tuple(
+            (inp, push, to) for inp, push, to, _ in row if inp is not None)
+    return _Compiled(m.input_alphabet, states, symbols, moves, epsilon, reading)
 
 
 # One compiled form per automaton, built at its first query.  Keys are held
@@ -143,7 +158,7 @@ def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     Configurations are ``(state id, input position, stack of symbol ids)``
     tuples over the automaton's compiled index.
     """
-    alphabet, _, _, moves = _compiled(m)
+    alphabet, _, _, moves, _, _ = _compiled(m)
     for ch in w:
         if ch not in alphabet:
             raise ValueError(f"input character {ch!r} is not in the alphabet")
@@ -190,6 +205,107 @@ def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
             parents[successor] = (config, t)
             queue.append(successor)
     return _inconclusive("max_stack_depth") if pruned else _REJECTED
+
+
+def _close(compiled: _Compiled, seeds, budget: int, max_depth: int, read: bool):
+    """The configurations ``accepts`` reaches at one input position.
+
+    ``seeds`` are the ``(state id, stack)`` pairs the previous letter led
+    to; they are closed under epsilon moves.  Returns None as soon as the
+    position holds more than ``budget`` configurations.  Otherwise returns
+    how many it holds, whether one has an empty stack, whether an epsilon
+    move pushed past ``max_depth``, and, when ``read`` is set, the seeds
+    each letter's reading moves lead to and the letters whose reading
+    moves pushed past ``max_depth``.
+    """
+    epsilon, reading = compiled.epsilon, compiled.reading
+    configs = set(seeds)
+    if len(configs) > budget:
+        return None
+    agenda = list(configs)
+    pruned = False
+    while agenda:
+        state, stack = agenda.pop()
+        for push, to in epsilon[state][stack[0]] if stack else ():
+            successor_stack = push + stack[1:]
+            if len(successor_stack) > max_depth:
+                pruned = True
+                continue
+            successor = (to, successor_stack)
+            if successor not in configs:
+                configs.add(successor)
+                if len(configs) > budget:
+                    return None
+                agenda.append(successor)
+    # Filed only once the position is known to fit the budget.
+    successors = {ch: set() for ch in compiled.alphabet} if read else {}
+    overflows = set()
+    accepting = False
+    for state, stack in configs:
+        if not stack:
+            accepting = True
+        elif read:
+            rest = stack[1:]
+            for inp, push, to in reading[state][stack[0]]:
+                successor_stack = push + rest
+                if len(successor_stack) > max_depth:
+                    overflows.add(inp)
+                else:
+                    successors[inp].add((to, successor_stack))
+    return len(configs), accepting, pruned, successors, overflows
+
+
+def _simulate_language(m: Automaton, max_len: int,
+                       limits: Limits) -> tuple[set[str], set[str]]:
+    """The strings up to ``max_len`` that ``accepts`` would call accepted,
+    and those it would call inconclusive; every other string is rejected.
+
+    The configurations ``accepts`` reaches at input position k depend only
+    on the first k letters, so the string trie is walked depth first with
+    one configuration set per prefix.  Each path carries the number of
+    configurations reached so far and whether a tried move was pruned.
+    While that number is within ``max_configs``, the search of a string
+    would reach everything and stop: accepted if a configuration at its end
+    has an empty stack, else inconclusive if anything was pruned, else
+    rejected.  Past it, the search may still accept before its budget runs
+    out, so every string under that prefix is asked of ``accepts`` itself.
+    """
+    compiled = _compiled(m)
+    alphabet = m.input_alphabet
+    max_configs, max_depth = limits.max_configs, limits.max_stack_depth
+    accepted: set[str] = set()
+    inconclusive: set[str] = set()
+    pending = [("", {(0, (0,))}, 0, False)]
+    while pending:
+        prefix, seeds, explored, pruned = pending.pop()
+        closed = _close(compiled, seeds, max_configs - explored, max_depth,
+                        len(prefix) < max_len)
+        if closed is None:
+            for tail in strings_up_to(alphabet, max_len - len(prefix)):
+                w = prefix + tail
+                verdict = accepts(m, w, limits)
+                if verdict.is_accepted:
+                    accepted.add(w)
+                elif verdict.is_inconclusive:
+                    inconclusive.add(w)
+            continue
+        count, accepting, epsilon_pruned, successors, overflows = closed
+        explored += count
+        pruned = pruned or epsilon_pruned
+        if accepting:
+            accepted.add(prefix)
+        elif pruned:
+            inconclusive.add(prefix)
+        for ch, child_seeds in successors.items():
+            child_pruned = pruned or ch in overflows
+            if child_seeds:
+                pending.append((prefix + ch, child_seeds, explored, child_pruned))
+            elif child_pruned:
+                # Nothing left to reach: the whole subtree is as pruned as
+                # its root.
+                inconclusive.update(prefix + ch + tail for tail in
+                                    strings_up_to(alphabet, max_len - len(prefix) - 1))
+    return accepted, inconclusive
 
 
 def replay_configurations(m: Automaton, w: str, witness) -> list[Configuration]:
@@ -411,17 +527,15 @@ def derivable_strings(cfg: Cfg, max_len: int, max_forms: int = 1_000_000) -> set
 def _membership(source: LanguageSource, max_len: int, limits: Limits):
     """Membership function for strings up to ``max_len`` returning
     True/False, or None for inconclusive: a lookup in the grammar's walked
-    language, built here once, or the bounded simulator for automata."""
+    language or in the automaton's walked verdicts, built here once."""
     if isinstance(source, Cfg):
         return _Recognizer(source).language(max_len).__contains__
+    accepted, inconclusive = _simulate_language(source, max_len, limits)
 
     def query(w: str):
-        verdict = accepts(source, w, limits)
-        if verdict.is_accepted:
+        if w in accepted:
             return True
-        if verdict.is_rejected:
-            return False
-        return None
+        return None if w in inconclusive else False
 
     return query
 
@@ -443,22 +557,15 @@ def enumerate_language(source: LanguageSource, max_len: int,
                        limits: Limits = DEFAULT_LIMITS) -> tuple[set[str], bool]:
     """Members of the source's language up to ``max_len``.
 
-    A grammar's members come from one exact walk of its string trie;
-    automaton membership uses the bounded simulator per string, and
-    ``complete`` is False when any verdict was inconclusive (such strings
-    are excluded rather than guessed at).
+    A grammar's members come from one exact walk of its string trie.  An
+    automaton's come from one walk of the bounded simulator over the trie,
+    with the verdicts per-string searches would give, and ``complete`` is
+    False when any verdict was inconclusive (such strings are excluded
+    rather than guessed at).
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     if isinstance(source, Cfg):
         return _Recognizer(source).language(max_len), True
-    members: set[str] = set()
-    complete = True
-    query = _membership(source, max_len, limits)
-    for w in strings_up_to(source.input_alphabet, max_len):
-        member = query(w)
-        if member:
-            members.add(w)
-        elif member is None:
-            complete = False
-    return members, complete
+    accepted, inconclusive = _simulate_language(source, max_len, limits)
+    return accepted, not inconclusive

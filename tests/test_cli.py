@@ -174,12 +174,17 @@ def test_wrong_kind_of_file_exits_65(p1_file, tmp_path, capsys):
 
 
 def test_member_keeps_the_grammar_parser_diagnostics(tmp_path, capsys):
-    # member takes only grammars, so a file that fails to parse is reported
-    # by the grammar parser
-    path = tmp_path / "bad.pda"
-    path.write_text(P1_TEXT.replace("q1 eps Z -> q1 eps", "q1 eps Z -> q9 eps"))
-    assert main(["member", str(path), "ab"]) == 65
-    assert capsys.readouterr() == ("", "error: line 1: unknown header 'states'\n")
+    # A broken grammar is reported by the grammar parser; a broken PDA file
+    # by the PDA parser, which names the real fault rather than the header.
+    for name, text, message in [
+        ("bad.cfg", "variables: S\nS -> -> a\n", "line 2: invalid symbol '->'"),
+        ("bad.pda", P1_TEXT.replace("q1 eps Z -> q1 eps", "q1 eps Z -> q9 eps"),
+         "line 11: undeclared state 'q9'"),
+    ]:
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["member", str(path), "ab"]) == 65
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_convert_output_is_deterministic(p1_file, capsys):

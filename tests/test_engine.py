@@ -338,6 +338,10 @@ def test_differential_check_compiles_each_automaton_once(corpus, monkeypatch):
     assert report.agreements == report.checked == 31
     assert len(compiled) == 2
     assert compiled[0] is p3 and compiled[1] is sspda
+    # Walks that send strings over the budget back to accepts reuse the index.
+    for m in (p3, sspda):
+        assert not enumerate_language(m, 6, Limits(40, 5))[1]
+    assert len(compiled) == 2
 
 
 def test_dropped_automata_never_hand_their_index_to_another(monkeypatch):
@@ -351,3 +355,120 @@ def test_dropped_automata_never_hand_their_index_to_another(monkeypatch):
             assert engine._compiled(m) == engine._compile(m)
         del pda, sspda, m
         assert len(engine._COMPILED) == 0
+
+
+def _per_string(m, max_len, limits):
+    """Accepted and inconclusive strings, by one ``accepts`` search each."""
+    verdicts = {w: accepts(m, w, limits) for w in strings_up_to(m.input_alphabet, max_len)}
+    return ({w for w, v in verdicts.items() if v.is_accepted},
+            {w for w, v in verdicts.items() if v.is_inconclusive})
+
+
+def _assert_walk_matches_per_string(m, max_len, limits):
+    assert engine._simulate_language(m, max_len, limits) == _per_string(m, max_len, limits)
+
+
+# Limits(40, 5) and Limits(37, 9) send P3's longer strings over the budget
+# and prune P1's and P5's pushes.
+@pytest.mark.parametrize("max_len, limits", [
+    (8, DEFAULT_LIMITS), (6, Limits(40, 5)), (6, Limits(37, 9))])
+def test_simulator_walk_matches_per_string_searches_on_the_corpus(corpus, max_len, limits):
+    for entry in corpus.values():
+        for m in (entry.pda, to_single_state(entry.pda)):
+            _assert_walk_matches_per_string(m, max_len, limits)
+
+
+def test_simulator_walk_matches_per_string_searches_on_random_automata():
+    # The limits of scripts/run_differential.py; seeds 12 and 13 exhaust the budget.
+    limits = Limits(5000, 48)
+    for seed in range(1, 200):
+        pda = random_pda(seed)
+        for m in (pda, to_single_state(pda)):
+            assert engine._simulate_language(m, 3, limits) == _per_string(m, 3, limits), seed
+
+
+@given(pdas())
+@settings(max_examples=40)
+def test_simulator_walk_matches_per_string_searches_on_hypothesis_automata(pda):
+    for limits in (Limits(300, 12), Limits(max_configs=7, max_stack_depth=4)):
+        _assert_walk_matches_per_string(pda, 3, limits)
+        _assert_walk_matches_per_string(to_single_state(pda), 2, limits)
+
+
+def reachable(m, w, max_depth):
+    """How many configurations a search of ``w`` reaches if it never stops
+    at acceptance and has no configuration budget."""
+    if isinstance(m, Pda):
+        start = Configuration(m.start_state, 0, (m.start_stack,))
+    else:
+        start = Configuration(QM, 0, (START,))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        config = frontier.pop()
+        for t in m.transitions:
+            if not config.stack or (t.from_state, t.pop) != (config.state, config.stack[0]):
+                continue
+            pos = config.input_pos
+            if t.input is not None:
+                if pos >= len(w) or w[pos] != t.input:
+                    continue
+                pos += 1
+            stack = t.push + config.stack[1:]
+            successor = Configuration(t.to_state, pos, stack)
+            if len(stack) <= max_depth and successor not in seen:
+                seen.add(successor)
+                frontier.append(successor)
+    return len(seen)
+
+
+def _recording_accepts(monkeypatch):
+    """Make ``accepts`` note every string it is asked about."""
+    asked = []
+    accepts_ = engine.accepts
+    monkeypatch.setattr(engine, "accepts",
+                        lambda m, w, limits: asked.append(w) or accepts_(m, w, limits))
+    return asked
+
+
+def test_walk_decides_within_the_budget_and_asks_accepts_past_it(corpus, monkeypatch):
+    p3 = to_single_state(corpus["P3"].pda)
+    # Accepts the empty string beside a push loop, so its search accepts
+    # long before it has reached everything.
+    loop = Pda.make({"q"}, {"a"}, {"Z"}, {Transition("q", None, "Z", "q", ("Z", "Z")),
+                                          Transition("q", None, "Z", "q", ())}, "q", "Z")
+    cases = [(p3, "abba"), (p3, "abab"), (p3, "aab"), (p3, "ba"), (loop, "")]
+    counts = {w: reachable(m, w, DEFAULT_LIMITS.max_stack_depth) for m, w in cases}
+    for m, w in cases[1:4]:
+        # A rejected string's search reaches everything, so its count is
+        # the least budget under which it is conclusive.
+        assert accepts(m, w, Limits(counts[w])).is_rejected
+        assert accepts(m, w, Limits(counts[w] - 1)).reason == "max_configs"
+    assert counts[""] == 65
+    assert accepts(loop, "", Limits(64)).is_accepted
+    asked = _recording_accepts(monkeypatch)
+    for m, w in cases:
+        for budget in (counts[w], counts[w] - 1):
+            limits = Limits(budget)
+            asked.clear()
+            accepted, inconclusive = engine._simulate_language(m, len(w), limits)
+            kind = ("accepted" if w in accepted else
+                    "inconclusive" if w in inconclusive else "rejected")
+            assert kind == accepts(m, w, limits).kind, (w, budget)
+            assert (w in asked) == (budget < counts[w]), (w, budget)
+
+
+def test_push_loop_is_settled_from_the_root_alone(corpus, monkeypatch):
+    asked = _recording_accepts(monkeypatch)
+    closed = []
+    close = engine._close
+    monkeypatch.setattr(engine, "_close", lambda *args: closed.append(args) or close(*args))
+    p5 = corpus["P5"].pda
+    for m in (p5, to_single_state(p5)):
+        closed.clear()
+        accepted, inconclusive = engine._simulate_language(m, 8, DEFAULT_LIMITS)
+        assert accepted == set()
+        assert inconclusive == set(strings_up_to(p5.input_alphabet, 8))
+        assert len(inconclusive) == 511
+        assert len(closed) == 1
+    assert asked == []
