@@ -47,12 +47,7 @@ from .model import (
     Triple,
     validate_pda,
 )
-from .singlestate import (
-    expand_push,
-    size_stats,
-    to_single_state,
-    transition_from_provenance,
-)
+from .singlestate import size_stats, to_single_state
 from .textio import (
     ParseError,
     parse_cfg,
@@ -87,7 +82,6 @@ __all__ = [
     "derivable_strings",
     "differential_check",
     "enumerate_language",
-    "expand_push",
     "generating_variables",
     "parse_cfg",
     "parse_pda",
@@ -105,6 +99,5 @@ __all__ = [
     "sspda_to_cfg",
     "strings_up_to",
     "to_single_state",
-    "transition_from_provenance",
     "validate_pda",
 ]

@@ -524,20 +524,16 @@ def derivable_strings(cfg: Cfg, max_len: int, max_forms: int = 1_000_000) -> set
     return found
 
 
-def _membership(source: LanguageSource, max_len: int, limits: Limits):
-    """Membership function for strings up to ``max_len`` returning
-    True/False, or None for inconclusive: a lookup in the grammar's walked
-    language or in the automaton's walked verdicts, built here once."""
+def _language(source: LanguageSource, max_len: int,
+              limits: Limits) -> tuple[set[str], set[str]]:
+    """The strings up to ``max_len`` the source accepts, and those it is
+    inconclusive on; every other string is rejected.  A grammar's come from
+    one exact walk of its string trie, so none is inconclusive; an
+    automaton's from one walk of the bounded simulator over the trie, with
+    the verdicts per-string searches would give."""
     if isinstance(source, Cfg):
-        return _Recognizer(source).language(max_len).__contains__
-    accepted, inconclusive = _simulate_language(source, max_len, limits)
-
-    def query(w: str):
-        if w in accepted:
-            return True
-        return None if w in inconclusive else False
-
-    return query
+        return _Recognizer(source).language(max_len), set()
+    return _simulate_language(source, max_len, limits)
 
 
 def _source_alphabet(source: LanguageSource) -> frozenset[str]:
@@ -555,17 +551,12 @@ def strings_up_to(alphabet, max_len: int) -> Iterator[str]:
 
 def enumerate_language(source: LanguageSource, max_len: int,
                        limits: Limits = DEFAULT_LIMITS) -> tuple[set[str], bool]:
-    """Members of the source's language up to ``max_len``.
-
-    A grammar's members come from one exact walk of its string trie.  An
-    automaton's come from one walk of the bounded simulator over the trie,
-    with the verdicts per-string searches would give, and ``complete`` is
-    False when any verdict was inconclusive (such strings are excluded
-    rather than guessed at).
+    """Members of the source's language up to ``max_len``, and whether the
+    list is complete: False when some verdict was inconclusive (such
+    strings are excluded rather than guessed at).  Grammars are always
+    complete; automata are walked by the bounded simulator.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    if isinstance(source, Cfg):
-        return _Recognizer(source).language(max_len), True
-    accepted, inconclusive = _simulate_language(source, max_len, limits)
+    accepted, inconclusive = _language(source, max_len, limits)
     return accepted, not inconclusive

@@ -27,7 +27,7 @@ def sspda_to_cfg(sspda: SingleStatePda) -> Cfg:
     """
     productions: set[Production] = set()
     origins: dict[Production, tuple[str, ...]] = {}
-    for t in sorted(sspda.transitions, key=str):
+    for t in sspda.transitions:
         head = str(t.pop)
         body = ((t.input,) if t.input is not None else ()) \
             + tuple(str(s) for s in t.push)
@@ -134,7 +134,8 @@ def prune_useless(cfg: Cfg) -> Cfg:
     """Drop non-generating variables and their productions, then everything
     unreachable from the start.  The language is unchanged; the start
     variable survives even when useless, leaving a grammar for the empty
-    language."""
+    language.  The terminal alphabet is kept whole, so the pruned grammar
+    answers questions over the same letters as the original."""
     gen = generating_variables(cfg)
     kept = {
         (head, body)
@@ -150,14 +151,12 @@ def prune_useless(cfg: Cfg) -> Cfg:
     reached = reachable_symbols(narrowed)
     productions = frozenset((h, b) for h, b in kept if h in reached)
     variables = frozenset((gen & reached) | {cfg.start})
-    terminals = frozenset(
-        sym for _, body in productions for sym in body if sym in cfg.terminals)
     origins = None
     if cfg.origins is not None:
         origins = {p: cfg.origins[p] for p in productions if p in cfg.origins}
     return Cfg(
         variables=variables,
-        terminals=terminals,
+        terminals=cfg.terminals,
         productions=productions,
         start=cfg.start,
         origins=origins,

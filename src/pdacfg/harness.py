@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .engine import DEFAULT_LIMITS, Limits, _membership, _source_alphabet, strings_up_to
+from .engine import DEFAULT_LIMITS, Limits, _language, _source_alphabet, strings_up_to
 from .grammar import classical_pda_to_cfg, sspda_to_cfg
 from .model import Cfg, Pda, SingleStatePda, Transition
 from .singlestate import to_single_state
@@ -95,14 +95,15 @@ def differential_check(sources: Sequence[tuple[str, Source]], alphabet,
         if _source_alphabet(source) != alpha:
             raise ValueError(f"source {label!r} does not share the alphabet")
 
-    # Timed from here: building a grammar's query walks its whole language.
+    # Timed from here: every source's language is walked up front.
     started = time.perf_counter()
-    queries = [(label, _membership(source, max_len, limits)) for label, source in sources]
+    languages = [(label, *_language(source, max_len, limits)) for label, source in sources]
     agreements = 0
     mismatches = []
     inconclusive = []
     for w in strings_up_to(alpha, max_len):
-        verdicts = [(label, query(w)) for label, query in queries]
+        verdicts = [(label, True if w in accepted else None if w in unsettled else False)
+                    for label, accepted, unsettled in languages]
         conclusive = {v for _, v in verdicts if v is not None}
         pending = [label for label, v in verdicts if v is None]
         if len(conclusive) > 1:

@@ -1,16 +1,18 @@
 """Collapse a multistate PDA into an equivalent single-state PDA.
 
-Pop moves map one-to-one onto triple symbols, push moves fan out over every
-choice of outer and intermediate states, and the fresh start marker seeds one
-triple per state.  Every produced transition carries provenance describing
-exactly which source move and state choices generated it.
+A move popping X from p to r and pushing Y_1..Y_l becomes |Q|**l rows, one
+per choice of states s_1..s_l: the row pops ``[p,X,s_l]`` and pushes the
+chain ``[r,Y_1,s_1] [s_1,Y_2,s_2] .. [s_{l-1},Y_l,s_l]`` (a pop move, l = 0,
+gives the one row popping ``[p,X,r]``).  The fresh start marker seeds one
+triple per state.  Every row records the source move it came from; the
+states chosen for it are spelled by its own triples.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .model import (
     START,
@@ -25,19 +27,15 @@ from .model import (
 
 @dataclass(frozen=True)
 class Provenance:
-    """Why a single-state transition exists.
+    """Why a single-state row exists.
 
-    rule 1 wraps a pop move, rule 2 expands a push move for one choice of
-    outer state and intermediate chain, rule 3 seeds the start marker.
-    ``outer`` is the end state of the popped triple (rules 1 and 2) or the
-    chosen landing state (rule 3); ``intermediates`` holds the chain states
-    s_1..s_{l-1} of rule 2.
+    Rule 1 wraps the pop move ``source``, rule 2 expands the push move
+    ``source`` for one choice of chain states, and rule 3 (no source) seeds
+    the start marker.
     """
 
     rule: int
     source: Optional[Transition]
-    outer: Optional[str] = None
-    intermediates: tuple[str, ...] = ()
 
     def __str__(self) -> str:
         if self.source is None:
@@ -69,28 +67,6 @@ class SizeStats:
     collision_count: int
 
 
-def expand_push(landing: str, push: Sequence[str], outer: str,
-                states: Iterable[str]) -> set[tuple[Triple, ...]]:
-    """All triple chains spelling ``push`` from ``landing`` to ``outer``.
-
-    For push length l there are exactly |states|**(l-1) chains, one per
-    choice of intermediate states; adjacent triples share their linking
-    state, the first starts at ``landing``, and the last ends at ``outer``.
-    """
-    push = tuple(push)
-    if not push:
-        raise ValueError("push sequence must be nonempty; pop moves have no chain")
-    names = sorted(set(states))
-    if landing not in names or outer not in names:
-        raise ValueError("landing and outer states must belong to the state set")
-    chains = set()
-    for mids in itertools.product(names, repeat=len(push) - 1):
-        links = (landing, *mids, outer)
-        chains.add(tuple(
-            Triple(links[i], push[i], links[i + 1]) for i in range(len(push))))
-    return chains
-
-
 def to_single_state(pda: Pda) -> SingleStatePda:
     """The single-state PDA accepting the same language as ``pda``.
 
@@ -104,26 +80,18 @@ def to_single_state(pda: Pda) -> SingleStatePda:
 
     states = sorted(pda.states)
     produced: dict[SsTransition, list[Provenance]] = {}
-
-    def add(tr: SsTransition, record: Provenance) -> None:
-        produced.setdefault(tr, []).append(record)
-
     for move in sorted(pda.transitions, key=str):
-        if not move.push:
-            tr = SsTransition(
-                move.input, Triple(move.from_state, move.pop, move.to_state), ())
-            add(tr, Provenance(1, move, outer=move.to_state))
-        else:
-            for outer in states:
-                chains = expand_push(move.to_state, move.push, outer, states)
-                for chain in sorted(chains, key=lambda c: tuple(map(str, c))):
-                    tr = SsTransition(
-                        move.input, Triple(move.from_state, move.pop, outer), chain)
-                    mids = tuple(link.to_state for link in chain[:-1])
-                    add(tr, Provenance(2, move, outer=outer, intermediates=mids))
+        record = Provenance(2 if move.push else 1, move)
+        for choice in itertools.product(states, repeat=len(move.push)):
+            links = (move.to_state, *choice)
+            chain = tuple(Triple(links[i], symbol, links[i + 1])
+                          for i, symbol in enumerate(move.push))
+            row = SsTransition(move.input, Triple(move.from_state, move.pop, links[-1]), chain)
+            produced.setdefault(row, []).append(record)
+    seeding = Provenance(3, None)
     for s in states:
-        tr = SsTransition(None, START, (Triple(pda.start_state, pda.start_stack, s),))
-        add(tr, Provenance(3, None, outer=s))
+        row = SsTransition(None, START, (Triple(pda.start_state, pda.start_stack, s),))
+        produced.setdefault(row, []).append(seeding)
 
     symbols = {START} | {
         Triple(p, base, q)
@@ -134,25 +102,6 @@ def to_single_state(pda: Pda) -> SingleStatePda:
         transitions=frozenset(produced),
         provenance={tr: tuple(records) for tr, records in produced.items()},
     )
-
-
-def transition_from_provenance(pda: Pda, record: Provenance) -> SsTransition:
-    """Rebuild the transition a provenance record describes."""
-    if record.rule == 3:
-        return SsTransition(
-            None, START, (Triple(pda.start_state, pda.start_stack, record.outer),))
-    move = record.source
-    if record.rule == 1:
-        return SsTransition(
-            move.input, Triple(move.from_state, move.pop, move.to_state), ())
-    if record.rule == 2:
-        links = (move.to_state, *record.intermediates, record.outer)
-        chain = tuple(
-            Triple(links[i], move.push[i], links[i + 1])
-            for i in range(len(move.push)))
-        return SsTransition(
-            move.input, Triple(move.from_state, move.pop, record.outer), chain)
-    raise ValueError(f"unknown rule {record.rule}")
 
 
 def predicted_transition_count(pda: Pda) -> int:

@@ -124,9 +124,7 @@ def _parse_declarations(text: str, decode_state, decode_symbol):
         raise ParseError(lineno, "empty state set")
     declared = {
         "state": _declared(headers["states"], decode_state, "invalid state name"),
-        "input symbol": _declared(headers["input"],
-                                  lambda tok: tok if is_input_symbol(tok) else None,
-                                  "invalid input symbol"),
+        "input symbol": _declared(headers["input"], _input_symbol, "invalid input symbol"),
         "stack symbol": _declared(headers["stack"], decode_symbol, "invalid stack symbol"),
     }
     return headers, move_lines, declared
@@ -179,6 +177,10 @@ def _parse_references(headers, move_lines, declared):
 
 def _token(tok: str) -> Optional[str]:
     return tok if is_token(tok) else None
+
+
+def _input_symbol(tok: str) -> Optional[str]:
+    return tok if is_input_symbol(tok) else None
 
 
 def parse_pda(text: str) -> Pda:
@@ -238,22 +240,13 @@ def parse_cfg(text: str) -> Cfg:
     """
     headers, prod_lines = _split_headers(text, CFG_HEADERS)
 
-    declared_vars = None
+    declared_vars = declared_terms = None
     if "variables" in headers:
-        lineno, tokens = headers["variables"]
-        declared_vars = set()
-        for tok in tokens:
-            if not _is_variable_token(tok):
-                raise ParseError(lineno, f"invalid variable {tok!r}")
-            declared_vars.add(tok)
-    declared_terms = None
+        declared_vars = _declared(headers["variables"],
+                                  lambda tok: tok if _is_variable_token(tok) else None,
+                                  "invalid variable")
     if "terminals" in headers:
-        lineno, tokens = headers["terminals"]
-        declared_terms = set()
-        for tok in tokens:
-            if not is_input_symbol(tok):
-                raise ParseError(lineno, f"invalid terminal {tok!r}")
-            declared_terms.add(tok)
+        declared_terms = _declared(headers["terminals"], _input_symbol, "invalid terminal")
 
     raw_prods: list[tuple[int, str, tuple[str, ...]]] = []
     first_head = None

@@ -26,7 +26,6 @@ def test_public_names_are_exactly_these():
         "derivable_strings",
         "differential_check",
         "enumerate_language",
-        "expand_push",
         "generating_variables",
         "parse_cfg",
         "parse_pda",
@@ -44,7 +43,6 @@ def test_public_names_are_exactly_these():
         "sspda_to_cfg",
         "strings_up_to",
         "to_single_state",
-        "transition_from_provenance",
         "validate_pda",
     ]
 

@@ -1,4 +1,6 @@
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +81,19 @@ def test_member_exit_codes(p1_file, tmp_path, capsys):
     assert main(["member", str(out_path), "aabb"]) == 0
     assert main(["member", str(out_path), "aba"]) == 1
     capsys.readouterr()
+
+
+def test_member_keeps_letters_that_pruning_dropped(tmp_path, capsys):
+    # the only move reading 'b' pops X, which is never on the stack
+    pda = tmp_path / "dead-b.pda"
+    pda.write_text("states: p\ninput: a b\nstack: Z X\nstart: p\nstartstack: Z\n"
+                   "p a Z -> p eps\np b X -> p eps\n")
+    pruned = tmp_path / "dead-b.cfg"
+    assert main(["convert", str(pda), "--prune", "-o", str(pruned)]) == 0
+    assert "terminals: a b" in pruned.read_text()
+    assert main(["member", str(pruned), "a"]) == 0
+    assert main(["member", str(pruned), "b"]) == 1
+    assert capsys.readouterr() == ("", "member\nnot a member\n")
 
 
 def test_enum_lists_the_bounded_language(p1_file, capsys):
@@ -242,3 +257,34 @@ def test_automata_over_the_conversion_budget_exit_65(tmp_path, capsys, command):
     assert time.perf_counter() - started < 1
     assert capsys.readouterr() == (
         "", "error: conversion would build 2985996 rows, over the budget of 250000\n")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
+    # Writes the README's anbn.pda, then runs each `$ pdacfg ...` line of
+    # the quick start and compares its stdout with the lines printed under it.
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("$ cat > anbn.pda <<'EOF'")
+    end = lines.index("EOF", start)
+    monkeypatch.chdir(tmp_path)
+    Path("anbn.pda").write_text("\n".join(lines[start + 1:end]) + "\n")
+    first = next(i for i in range(end, len(lines)) if lines[i].startswith("$ pdacfg "))
+    sessions = []
+    for line in lines[first:lines.index("```", first)]:
+        if line.startswith("$ pdacfg "):
+            command = line[len("$ pdacfg "):].split("#")[0].split("&&")[0]
+            sessions.append((shlex.split(command), []))
+        else:
+            sessions[-1][1].append(line)
+    assert len(sessions) == 7
+    for argv, expected in sessions:
+        assert main(argv) == 0, argv
+        if expected:
+            assert capsys.readouterr().out.splitlines() == expected, argv
+        capsys.readouterr()
+    witnessed = {tuple(argv): expected for argv, expected in sessions}
+    assert len(witnessed[("run", "anbn.pda", "aabb")]) == 5
+    assert witnessed[("check", "anbn.pda", "--max-len", "8", "--classical")] == [
+        "checked=511 agree=511 mismatch=0 inconclusive=0"]

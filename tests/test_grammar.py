@@ -110,7 +110,8 @@ def test_prune_drops_an_unreachable_variable():
     pruned = prune_useless(cfg)
     assert pruned.productions == {("S", ("a",))}
     assert pruned.variables == {"S"}
-    assert pruned.terminals == {"a"}
+    # the alphabet is kept whole, so 'b' is still a letter the grammar rejects
+    assert pruned.terminals == {"a", "b"}
 
 
 def test_prune_keeps_a_useless_start_and_an_empty_language():

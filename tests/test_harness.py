@@ -12,6 +12,7 @@ from pdacfg import (
     differential_check,
     enumerate_language,
     pda_to_cfg,
+    prune_useless,
     random_cfg,
     random_pda,
     routes,
@@ -232,14 +233,32 @@ def test_reports_match_a_per_string_reference_on_random_automata():
         _assert_report_matches_reference(routes(pda, True), pda.input_alphabet, 3, limits)
 
 
+def _with_pruned_route(pda):
+    return routes(pda, True) + [("pruned", prune_useless(pda_to_cfg(pda)))]
+
+
+def test_a_pruned_grammar_route_agrees_on_the_corpus(corpus):
+    for entry in corpus.values():
+        report = differential_check(_with_pruned_route(entry.pda), entry.pda.input_alphabet, 8)
+        assert report.mismatches == (), entry.name
+
+
+def test_a_pruned_grammar_route_agrees_on_random_automata():
+    limits = Limits(max_configs=5000, max_stack_depth=48)
+    for seed in range(1, 26):
+        pda = random_pda(seed)
+        report = differential_check(_with_pruned_route(pda), pda.input_alphabet, 3, limits)
+        assert report.mismatches == (), seed
+
+
 def test_elapsed_includes_building_the_queries(corpus, monkeypatch):
-    membership = harness._membership
+    language = harness._language
 
-    def slow_membership(*args):
+    def slow_language(*args):
         time.sleep(0.05)
-        return membership(*args)
+        return language(*args)
 
-    monkeypatch.setattr(harness, "_membership", slow_membership)
+    monkeypatch.setattr(harness, "_language", slow_language)
     p0 = corpus["P0"].pda
     report = differential_check([("pda", p0), ("cfg", pda_to_cfg(p0))], {"a"}, 1)
     assert report.elapsed >= 0.1

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from pdacfg import builtin_corpus, parse_pda
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -40,3 +42,13 @@ def test_bad_flag_values_are_usage_errors(run_differential, capsys, flag, value)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+
+
+def test_write_corpus_writes_each_entry_so_it_parses_back(tmp_path, capsys):
+    assert _load("write_corpus").main([str(tmp_path)]) == 0
+    entries = builtin_corpus()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{e.name}.pda" for e in entries]
+    assert capsys.readouterr().out.splitlines() == [
+        str(tmp_path / f"{e.name}.pda") for e in entries]
+    for entry in entries:
+        assert parse_pda((tmp_path / f"{entry.name}.pda").read_text()) == entry.pda, entry.name

@@ -11,11 +11,9 @@ from pdacfg import (
     Transition,
     Triple,
     classical_pda_to_cfg,
-    expand_push,
     parse_pda,
     size_stats,
     to_single_state,
-    transition_from_provenance,
 )
 from pdacfg import singlestate
 from pdacfg.model import SsTransition
@@ -36,19 +34,35 @@ def test_triples_compare_by_components():
     assert Triple("q0", "Z", "q0") != Triple("q0", "Z", "q1")
 
 
+def _rows_of(pda, move):
+    return {tr for tr, records in to_single_state(pda).provenance.items()
+            if records[0].source == move}
+
+
 def test_single_symbol_push_has_exactly_one_chain():
-    assert expand_push("t", ["B"], "q", {"p", "q", "t"}) == {(Triple("t", "B", "q"),)}
+    move = Transition("p", "a", "X", "t", ("B",))
+    pda = Pda.make({"p", "q", "t"}, {"a"}, {"X", "B"}, {move}, "p", "X")
+    assert _rows_of(pda, move) == {
+        SsTransition("a", Triple("p", "X", s), (Triple("t", "B", s),))
+        for s in ("p", "q", "t")}
 
 
 def test_two_symbol_push_enumerates_the_intermediate_state():
-    assert expand_push("q0", ["A", "Z"], "q1", {"q0", "q1"}) == {
-        (Triple("q0", "A", "q0"), Triple("q0", "Z", "q1")),
-        (Triple("q0", "A", "q1"), Triple("q1", "Z", "q1")),
-    }
+    move = Transition("q0", "a", "Z", "q0", ("A", "Z"))
+    pda = Pda.make({"q0", "q1"}, {"a"}, {"Z", "A"}, {move}, "q0", "Z")
+    assert _rows_of(pda, move) == {
+        SsTransition("a", Triple("q0", "Z", outer), chain)
+        for outer in ("q0", "q1")
+        for chain in ((Triple("q0", "A", "q0"), Triple("q0", "Z", outer)),
+                      (Triple("q0", "A", "q1"), Triple("q1", "Z", outer)))}
 
 
 def test_three_symbol_push_over_two_states_gives_four_chains():
-    chains = expand_push("p", ["A", "B", "C"], "q", {"p", "q"})
+    move = Transition("p", None, "X", "p", ("A", "B", "C"))
+    pda = Pda.make({"p", "q"}, set(), {"X", "A", "B", "C"}, {move}, "p", "X")
+    rows = _rows_of(pda, move)
+    assert len(rows) == 8
+    chains = {tr.push for tr in rows if tr.pop == Triple("p", "X", "q")}
     assert len(chains) == 4
     for chain in chains:
         assert chain[0].from_state == "p"
@@ -56,11 +70,6 @@ def test_three_symbol_push_over_two_states_gives_four_chains():
         assert [t.base for t in chain] == ["A", "B", "C"]
         for left, right in zip(chain, chain[1:]):
             assert left.to_state == right.from_state
-
-
-def test_empty_push_has_no_chain():
-    with pytest.raises(ValueError):
-        expand_push("p", [], "q", {"p", "q"})
 
 
 def test_one_state_one_pop_move_gives_exactly_two_transitions():
@@ -172,11 +181,29 @@ def test_per_move_cardinalities(pda):
 
 @given(pdas())
 def test_provenance_is_total_and_replays(pda):
+    # each row is rebuilt from its record and the states its own triples
+    # spell: the outer state, and the chain's link states for a push
     sspda = to_single_state(pda)
     assert set(sspda.provenance) == set(sspda.transitions)
+    seeded = set()
     for tr, records in sspda.provenance.items():
         assert len(records) == 1
-        assert transition_from_provenance(pda, records[0]) == tr
+        record = records[0]
+        if record.rule == 3:
+            assert record.source is None
+            outer = tr.push[0].to_state
+            assert tr == SsTransition(
+                None, START, (Triple(pda.start_state, pda.start_stack, outer),))
+            seeded.add(outer)
+            continue
+        move = record.source
+        assert record.rule == (2 if move.push else 1)
+        links = (move.to_state, *(link.to_state for link in tr.push))
+        assert tr == SsTransition(
+            move.input, Triple(move.from_state, move.pop, links[-1]),
+            tuple(Triple(links[i], symbol, links[i + 1])
+                  for i, symbol in enumerate(move.push)))
+    assert seeded == pda.states
 
 
 @given(pdas())
