@@ -22,7 +22,7 @@ from pdacfg.cli import _int_at_least
 
 def sweep_one(name, pda, max_len, limits):
     sources = routes(pda, True)
-    report = differential_check(sources, pda.input_alphabet, max_len, limits)
+    report = differential_check(sources, max_len, limits)
     print(f"{name:8} moves={len(pda.transitions):2} "
           f"ss_moves={len(dict(sources)['sspda'].transitions):3} "
           f"{report.summary_line()} ({report.elapsed:.2f}s)")

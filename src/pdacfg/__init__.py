@@ -42,7 +42,6 @@ from .model import (
     Configuration,
     Pda,
     SingleStatePda,
-    SsTransition,
     Transition,
     Triple,
     validate_pda,
@@ -71,7 +70,6 @@ __all__ = [
     "ParseError",
     "Pda",
     "SingleStatePda",
-    "SsTransition",
     "Transition",
     "Triple",
     "Verdict",

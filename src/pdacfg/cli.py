@@ -201,8 +201,7 @@ def _cmd_enum(args) -> int:
 def _cmd_check(args) -> int:
     pda = _load(args.pda, "a multistate PDA", Pda)
     limits = Limits(args.max_configs, args.max_depth)
-    report = differential_check(
-        routes(pda, args.classical), pda.input_alphabet, args.max_len, limits)
+    report = differential_check(routes(pda, args.classical), args.max_len, limits)
     print(report.table())
     if report.mismatches:
         return EXIT_NO

@@ -29,7 +29,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Union
 
-from .model import QM, START, Cfg, Configuration, Pda, SingleStatePda
+from .model import Cfg, Configuration, Pda, SingleStatePda
 
 Automaton = Union[Pda, SingleStatePda]
 LanguageSource = Union[Pda, SingleStatePda, Cfg]
@@ -84,38 +84,28 @@ def _inconclusive(reason: str) -> Verdict:
     return Verdict("inconclusive", reason=reason)
 
 
-def _start(m: Automaton) -> tuple:
-    """Start state and start stack symbol of either automaton kind."""
-    if isinstance(m, Pda):
-        return m.start_state, m.start_stack
-    if isinstance(m, SingleStatePda):
-        return QM, START
-    raise TypeError(f"not an automaton: {type(m).__name__}")
-
-
 class _Compiled(NamedTuple):
-    """An automaton with states and stack symbols interned to ints.
+    """An automaton's moves, indexed by state and stack symbol interned to
+    ints; both automaton kinds compile the same way.
 
     ``moves[state id][top id]`` lists ``(input, push ids, to id,
     Transition)`` in ``sorted(..., key=str)`` order, the order the search
     explores moves in.  ``epsilon`` and ``reading`` split the same moves
     into ``(push ids, to id)`` and ``(input, push ids, to id)`` for the
-    trie walk.  The start state and start symbol both have id 0.  Nothing
-    here refers back to the automaton, so the cache can drop it.
+    trie walk.  The start state and start symbol both have id 0, and the
+    other ids are needed only while compiling.  Nothing here refers back to
+    the automaton, so the cache can drop it.
     """
 
     alphabet: frozenset
-    states: dict
-    symbols: dict
     moves: list
     epsilon: list
     reading: list
 
 
 def _compile(m: Automaton) -> _Compiled:
-    state, symbol = _start(m)
-    states = {state: 0}
-    symbols = {symbol: 0}
+    states = {m.start_state: 0}
+    symbols = {m.start_stack: 0}
     rows = defaultdict(list)
     for t in sorted(m.transitions, key=str):
         key = (states.setdefault(t.from_state, len(states)),
@@ -131,7 +121,7 @@ def _compile(m: Automaton) -> _Compiled:
             (push, to) for inp, push, to, _ in row if inp is None)
         reading[from_id][top_id] = tuple(
             (inp, push, to) for inp, push, to, _ in row if inp is not None)
-    return _Compiled(m.input_alphabet, states, symbols, moves, epsilon, reading)
+    return _Compiled(m.input_alphabet, moves, epsilon, reading)
 
 
 # One compiled form per automaton, built at its first query.  Keys are held
@@ -158,7 +148,7 @@ def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     Configurations are ``(state id, input position, stack of symbol ids)``
     tuples over the automaton's compiled index.
     """
-    alphabet, _, _, moves, _, _ = _compiled(m)
+    alphabet, moves, _, _ = _compiled(m)
     for ch in w:
         if ch not in alphabet:
             raise ValueError(f"input character {ch!r} is not in the alphabet")
@@ -315,8 +305,7 @@ def replay_configurations(m: Automaton, w: str, witness) -> list[Configuration]:
     Raises ValueError if any move does not apply, making this an independent
     check on witnesses rather than a re-search.
     """
-    state, symbol = _start(m)
-    configs = [Configuration(state, 0, (symbol,))]
+    configs = [Configuration(m.start_state, 0, (m.start_stack,))]
     for t in witness:
         config = configs[-1]
         if config.state != t.from_state or not config.stack or config.stack[0] != t.pop:

@@ -15,8 +15,6 @@ from collections import defaultdict
 from .model import Cfg, Pda, Production, SingleStatePda, START, validate_pda
 from .singlestate import _check_budget, to_single_state
 
-START_VAR = str(START)  # "Zs"
-
 
 def sspda_to_cfg(sspda: SingleStatePda) -> Cfg:
     """One production per transition: a transition reading a, popping Z and
@@ -37,7 +35,7 @@ def sspda_to_cfg(sspda: SingleStatePda) -> Cfg:
         variables=frozenset(str(s) for s in sspda.stack_alphabet),
         terminals=frozenset(sspda.input_alphabet),
         productions=frozenset(productions),
-        start=START_VAR,
+        start=START,
         origins=origins,
     )
 

@@ -82,16 +82,16 @@ def routes(pda: Pda, classical: bool) -> list[tuple[str, Source]]:
     return sources
 
 
-def differential_check(sources: Sequence[tuple[str, Source]], alphabet,
-                       max_len: int,
+def differential_check(sources: Sequence[tuple[str, Source]], max_len: int,
                        limits: Limits = DEFAULT_LIMITS) -> EquivalenceReport:
-    """Compare labeled language sources on every string up to ``max_len``."""
+    """Compare labeled language sources on every string up to ``max_len``
+    over the first source's alphabet, which every source must share."""
     if len(sources) < 2:
         raise ValueError("need at least two sources to compare")
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    alpha = frozenset(alphabet)
-    for label, source in sources:
+    alpha = _source_alphabet(sources[0][1])
+    for label, source in sources[1:]:
         if _source_alphabet(source) != alpha:
             raise ValueError(f"source {label!r} does not share the alphabet")
 
@@ -126,17 +126,12 @@ def differential_check(sources: Sequence[tuple[str, Source]], alphabet,
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """A named automaton with its expected bounded language.
-
-    ``expected_members`` is exhaustive up to ``sample_max_len``;
-    ``expected_nonmembers`` is the complement up to the same length, so the
-    two sets are disjoint by construction.
-    """
+    """A named automaton with its expected bounded language:
+    ``expected_members`` is exhaustive up to ``sample_max_len``."""
 
     name: str
     pda: Pda
     expected_members: frozenset[str]
-    expected_nonmembers: frozenset[str]
     notes: str
     sample_max_len: int
 
@@ -172,9 +167,7 @@ def _mirrored(w: str) -> bool:
 def _entry(name: str, pda: Pda, predicate, sample_max_len: int, notes: str) -> CorpusEntry:
     members = frozenset(
         w for w in strings_up_to(pda.input_alphabet, sample_max_len) if predicate(w))
-    nonmembers = frozenset(
-        w for w in strings_up_to(pda.input_alphabet, sample_max_len)) - members
-    return CorpusEntry(name, pda, members, nonmembers, notes, sample_max_len)
+    return CorpusEntry(name, pda, members, notes, sample_max_len)
 
 
 def builtin_corpus() -> list[CorpusEntry]:

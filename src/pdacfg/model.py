@@ -2,9 +2,11 @@
 
 Automata accept by empty stack and carry a set-valued (nondeterministic)
 transition relation.  Epsilon is modeled as ``None`` in transition inputs and
-as an empty push sequence; the text formats spell it ``eps``.  Every type is
-immutable and hashable, so structural equality and use as set elements work
-throughout.
+as an empty push sequence; the text formats spell it ``eps``.  A single-state
+automaton is a PDA whose one state is ``qm``: its moves are the same
+``Transition`` type, and its stack symbols are the start symbol ``Zs`` and
+``[p,X,q]`` triples.  Every type is immutable and hashable, so structural
+equality and use as set elements work throughout.
 """
 
 from __future__ import annotations
@@ -32,21 +34,23 @@ def is_input_symbol(ch: str) -> bool:
 
 @dataclass(frozen=True)
 class Transition:
-    """One move of a multistate PDA.
+    """One move of a PDA.
 
     ``input`` is ``None`` for an epsilon move.  ``push`` is top-first: its
-    first element ends up on top of the stack and is popped first.
+    first element ends up on top of the stack and is popped first.  Stack
+    symbols are names in a multistate PDA and ``SsSymbol`` values in a
+    single-state one.
     """
 
     from_state: str
     input: Optional[str]
-    pop: str
+    pop: SsSymbol
     to_state: str
-    push: tuple[str, ...] = ()
+    push: tuple[SsSymbol, ...] = ()
 
     def __str__(self) -> str:
         inp = "eps" if self.input is None else self.input
-        rhs = " ".join(self.push) if self.push else "eps"
+        rhs = " ".join(map(str, self.push)) if self.push else "eps"
         return f"{self.from_state} {inp} {self.pop} -> {self.to_state} {rhs}"
 
 
@@ -90,39 +94,9 @@ class Triple:
         return f"[{self.from_state},{self.base},{self.to_state}]"
 
 
-@dataclass(frozen=True)
-class StartMarker:
-    """Fresh start symbol of a single-state PDA; renders as ``Zs``."""
+START = "Zs"  # fresh start symbol of a single-state PDA
 
-    def __str__(self) -> str:
-        return "Zs"
-
-
-START = StartMarker()
-
-SsSymbol = Union[StartMarker, Triple]
-
-
-@dataclass(frozen=True)
-class SsTransition:
-    """One move of a single-state PDA; the state is implicitly ``qm``."""
-
-    input: Optional[str]
-    pop: SsSymbol
-    push: tuple[SsSymbol, ...] = ()
-
-    @property
-    def from_state(self) -> str:
-        return QM
-
-    @property
-    def to_state(self) -> str:
-        return QM
-
-    def __str__(self) -> str:
-        inp = "eps" if self.input is None else self.input
-        rhs = " ".join(str(s) for s in self.push) if self.push else "eps"
-        return f"{QM} {inp} {self.pop} -> {QM} {rhs}"
+SsSymbol = Union[str, Triple]
 
 
 @dataclass(frozen=True)
@@ -130,13 +104,21 @@ class SingleStatePda:
     """PDA whose only state is ``qm``; all bookkeeping lives in the triple
     stack symbols.
 
-    ``provenance`` maps each transition to the construction records that
-    produced it.  It is diagnostic and excluded from structural equality.
+    Its moves are ordinary transitions from ``qm`` to ``qm`` over the stack
+    symbols ``Zs`` and triples, and it answers ``states``, ``start_state``
+    and ``start_stack`` as a ``Pda`` does; those are fixed, so they are class
+    attributes rather than fields.  ``provenance`` maps each transition to
+    the construction records that produced it.  It is diagnostic and
+    excluded from structural equality.
     """
+
+    states = frozenset({QM})
+    start_state = QM
+    start_stack = START
 
     input_alphabet: frozenset[str]
     stack_alphabet: frozenset[SsSymbol]
-    transitions: frozenset[SsTransition]
+    transitions: frozenset[Transition]
     provenance: Optional[Mapping] = field(default=None, compare=False)
 
 

@@ -3,9 +3,10 @@
 A move popping X from p to r and pushing Y_1..Y_l becomes |Q|**l rows, one
 per choice of states s_1..s_l: the row pops ``[p,X,s_l]`` and pushes the
 chain ``[r,Y_1,s_1] [s_1,Y_2,s_2] .. [s_{l-1},Y_l,s_l]`` (a pop move, l = 0,
-gives the one row popping ``[p,X,r]``).  The fresh start marker seeds one
-triple per state.  Every row records the source move it came from; the
-states chosen for it are spelled by its own triples.
+gives the one row popping ``[p,X,r]``).  The fresh start symbol ``Zs`` seeds
+one triple per state.  Rows are ordinary transitions from ``qm`` to ``qm``.
+Every row records the source move it came from; the states chosen for it
+are spelled by its own triples.
 """
 
 from __future__ import annotations
@@ -14,15 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import (
-    START,
-    Pda,
-    SingleStatePda,
-    SsTransition,
-    Transition,
-    Triple,
-    validate_pda,
-)
+from .model import QM, START, Pda, SingleStatePda, Transition, Triple, validate_pda
 
 
 @dataclass(frozen=True)
@@ -79,18 +72,19 @@ def to_single_state(pda: Pda) -> SingleStatePda:
     _check_budget(pda)
 
     states = sorted(pda.states)
-    produced: dict[SsTransition, list[Provenance]] = {}
+    produced: dict[Transition, list[Provenance]] = {}
     for move in sorted(pda.transitions, key=str):
         record = Provenance(2 if move.push else 1, move)
         for choice in itertools.product(states, repeat=len(move.push)):
             links = (move.to_state, *choice)
             chain = tuple(Triple(links[i], symbol, links[i + 1])
                           for i, symbol in enumerate(move.push))
-            row = SsTransition(move.input, Triple(move.from_state, move.pop, links[-1]), chain)
+            pop = Triple(move.from_state, move.pop, links[-1])
+            row = Transition(QM, move.input, pop, QM, chain)
             produced.setdefault(row, []).append(record)
     seeding = Provenance(3, None)
     for s in states:
-        row = SsTransition(None, START, (Triple(pda.start_state, pda.start_stack, s),))
+        row = Transition(QM, None, START, QM, (Triple(pda.start_state, pda.start_stack, s),))
         produced.setdefault(row, []).append(seeding)
 
     symbols = {START} | {

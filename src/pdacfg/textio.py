@@ -9,9 +9,11 @@ PDA files carry five headers (states, input, stack, start, startstack)
 followed by transition lines ``FROM INPUT POP -> TO PUSH...`` where INPUT is
 one character or ``eps`` and PUSH is a top-first symbol sequence or the
 single token ``eps``.  Single-state PDA files use the same headers and lines
-and the same parser, with their own token decoders: the only state is
-``qm``, stack symbols are ``Zs`` or ``[p,X,q]`` triples, the start stack is
-``Zs`` (which must be declared), and ``Zs`` is never pushed.  Grammar files
+and the same parser, with their own token decoders, and are read into the
+same ``Transition`` type: the only state is ``qm``, stack symbols are ``Zs``
+or ``[p,X,q]`` triples, the start stack is ``Zs`` (which must be declared),
+and ``Zs`` is never pushed.  Both automaton kinds render through one writer
+that reads their states and start headers off the automaton.  Grammar files
 carry optional headers (variables, terminals, start) and production lines
 ``HEAD -> BODY | BODY ...``.
 """
@@ -29,7 +31,6 @@ from .model import (
     Pda,
     SingleStatePda,
     SsSymbol,
-    SsTransition,
     Transition,
     Triple,
     is_input_symbol,
@@ -87,7 +88,7 @@ def _single_header_token(headers, name):
 
 def parse_ss_symbol(token: str) -> Optional[SsSymbol]:
     """Decode ``Zs`` or a ``[p,X,q]`` triple token; None if neither."""
-    if token == "Zs":
+    if token == START:
         return START
     match = _TRIPLE_RE.fullmatch(token)
     if match and all(is_token(part) for part in match.groups()):
@@ -215,8 +216,7 @@ def parse_sspda(text: str) -> SingleStatePda:
     return SingleStatePda(
         input_alphabet=frozenset(declared["input symbol"]),
         stack_alphabet=frozenset(declared["stack symbol"].values()),
-        transitions=frozenset(
-            SsTransition(inp, pop, push) for _, (_, inp, pop, _, push) in moves),
+        transitions=frozenset(Transition(*move) for _, move in moves),
     )
 
 
@@ -327,17 +327,13 @@ def _header_line(name: str, symbols) -> str:
 
 
 def _render_automaton(m: Union[Pda, SingleStatePda], verbose: bool) -> str:
-    if isinstance(m, Pda):
-        states, start_state, start_stack, notes = m.states, m.start_state, m.start_stack, None
-    else:
-        states, start_state, start_stack = (QM,), QM, START
-        notes = m.provenance if verbose else None
+    notes = m.provenance if verbose and isinstance(m, SingleStatePda) else None
     lines = [
-        _header_line("states", sorted(states)),
+        _header_line("states", sorted(m.states)),
         _header_line("input", sorted(m.input_alphabet)),
         _header_line("stack", sorted(str(s) for s in m.stack_alphabet)),
-        f"start: {start_state}",
-        f"startstack: {start_stack}",
+        f"start: {m.start_state}",
+        f"startstack: {m.start_stack}",
     ]
     for text, t in sorted(((str(t), t) for t in m.transitions), key=lambda row: row[0]):
         if notes and t in notes:
@@ -404,14 +400,17 @@ def render(obj: Union[Pda, SingleStatePda, Cfg], verbose: bool = False) -> str:
 def parse_source(text: str) -> Union[Pda, SingleStatePda, Cfg]:
     """Parse text as whichever of the three formats it is.
 
-    A ``states:`` header marks the PDA family; bracketed stack symbols mark
-    the single-state variant.  Everything else parses as a grammar.
+    A ``states:`` header marks the PDA family; a ``stack:`` token that
+    decodes to a ``[p,X,q]`` triple marks the single-state variant, so a
+    malformed bracketed token is left for the PDA parser to report.
+    Everything else parses as a grammar.
     """
     is_pda = any(tokens[0] == "states:" for _, tokens in _content_lines(text))
     if not is_pda:
         return parse_cfg(text)
     for _, tokens in _content_lines(text):
-        if tokens[0] == "stack:" and any(t.startswith("[") for t in tokens[1:]):
+        if tokens[0] == "stack:" and any(
+                isinstance(parse_ss_symbol(t), Triple) for t in tokens[1:]):
             return parse_sspda(text)
     return parse_pda(text)
 

@@ -62,8 +62,7 @@ def test_criterion_1_corpus_language_equality(corpus):
         sspda = to_single_state(pda)
         report = differential_check(
             [("pda", pda), ("sspda", sspda), ("cfg", sspda_to_cfg(sspda)),
-             ("classical", classical_pda_to_cfg(pda))],
-            pda.input_alphabet, 8)
+             ("classical", classical_pda_to_cfg(pda))], 8)
         assert report.mismatches == (), name
         assert report.inconclusive == (), name
         assert report.agreements == report.checked, name
@@ -189,8 +188,7 @@ def test_criterion_9_inconclusive_honesty(corpus, tmp_path, capsys):
     classical = classical_pda_to_cfg(entry.pda)
     assert enumerate_language(staged, 8) == (set(), True)
     assert enumerate_language(classical, 8) == (set(), True)
-    report = differential_check(
-        [("cfg", staged), ("classical", classical)], entry.pda.input_alphabet, 8)
+    report = differential_check([("cfg", staged), ("classical", classical)], 8)
     assert report.mismatches == ()
     assert report.agreements == report.checked
     _ok(9, "the push loop yields exit 2 while both grammar routes prove the empty language")

@@ -15,7 +15,6 @@ def test_public_names_are_exactly_these():
         "QM",
         "START",
         "SingleStatePda",
-        "SsTransition",
         "Transition",
         "Triple",
         "Verdict",

@@ -238,6 +238,18 @@ def test_pda_commands_keep_the_pda_parser_diagnostics(tmp_path, capsys, command)
         assert capsys.readouterr() == ("", message)
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "ab"], ["enum", "--max-len", "2"], ["convert"], ["check"], ["stats"],
+])
+def test_a_malformed_bracketed_stack_token_is_reported_by_every_command(
+        tmp_path, capsys, command):
+    # "[A" decodes to no triple, so the file is a PDA with a bad symbol
+    path = tmp_path / "bad.pda"
+    path.write_text(P1_TEXT.replace("stack: Z A", "stack: Z [A"))
+    assert main([command[0], str(path), *command[1:]]) == 65
+    assert capsys.readouterr() == ("", "error: line 3: invalid stack symbol '[A'\n")
+
+
 TWELVE_STATES_ONE_LONG_PUSH = (
     "states: " + " ".join(f"q{i}" for i in range(12)) + "\n"
     "input: a\nstack: Z\nstart: q0\nstartstack: Z\n"

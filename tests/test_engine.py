@@ -334,7 +334,7 @@ def test_differential_check_compiles_each_automaton_once(corpus, monkeypatch):
     sspda = to_single_state(p3)
     sources = [("pda", p3), ("sspda", sspda), ("cfg", sspda_to_cfg(sspda)),
                ("classical", classical_pda_to_cfg(p3))]
-    report = differential_check(sources, p3.input_alphabet, 4)
+    report = differential_check(sources, 4)
     assert report.agreements == report.checked == 31
     assert len(compiled) == 2
     assert compiled[0] is p3 and compiled[1] is sspda

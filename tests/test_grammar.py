@@ -3,6 +3,7 @@ from hypothesis import given
 from pdacfg import (
     Cfg,
     P1_TEXT,
+    QM,
     Pda,
     START,
     Transition,
@@ -18,7 +19,7 @@ from pdacfg import (
     sspda_to_cfg,
     to_single_state,
 )
-from pdacfg.model import SingleStatePda, SsTransition
+from pdacfg.model import SingleStatePda
 
 from strategies import pdas
 
@@ -36,13 +37,13 @@ def _tiny_sspda(*transitions):
 
 
 def test_pop_transition_becomes_a_terminal_production():
-    cfg = sspda_to_cfg(_tiny_sspda(SsTransition("a", Triple("p", "Z", "p"), ())))
+    cfg = sspda_to_cfg(_tiny_sspda(Transition(QM, "a", Triple("p", "Z", "p"), QM, ())))
     assert ("[p,Z,p]", ("a",)) in cfg.productions
 
 
 def test_start_seeding_becomes_a_unit_production():
     cfg = sspda_to_cfg(
-        _tiny_sspda(SsTransition(None, START, (Triple("q0", "Z", "q1"),))))
+        _tiny_sspda(Transition(QM, None, START, QM, (Triple("q0", "Z", "q1"),))))
     assert ("Zs", ("[q0,Z,q1]",)) in cfg.productions
 
 

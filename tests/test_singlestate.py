@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ from pdacfg import (
     QM,
     START,
     Pda,
+    SingleStatePda,
     Transition,
     Triple,
     classical_pda_to_cfg,
@@ -16,7 +18,6 @@ from pdacfg import (
     to_single_state,
 )
 from pdacfg import singlestate
-from pdacfg.model import SsTransition
 
 from strategies import pdas
 
@@ -43,7 +44,7 @@ def test_single_symbol_push_has_exactly_one_chain():
     move = Transition("p", "a", "X", "t", ("B",))
     pda = Pda.make({"p", "q", "t"}, {"a"}, {"X", "B"}, {move}, "p", "X")
     assert _rows_of(pda, move) == {
-        SsTransition("a", Triple("p", "X", s), (Triple("t", "B", s),))
+        Transition(QM, "a", Triple("p", "X", s), QM, (Triple("t", "B", s),))
         for s in ("p", "q", "t")}
 
 
@@ -51,7 +52,7 @@ def test_two_symbol_push_enumerates_the_intermediate_state():
     move = Transition("q0", "a", "Z", "q0", ("A", "Z"))
     pda = Pda.make({"q0", "q1"}, {"a"}, {"Z", "A"}, {move}, "q0", "Z")
     assert _rows_of(pda, move) == {
-        SsTransition("a", Triple("q0", "Z", outer), chain)
+        Transition(QM, "a", Triple("q0", "Z", outer), QM, chain)
         for outer in ("q0", "q1")
         for chain in ((Triple("q0", "A", "q0"), Triple("q0", "Z", outer)),
                       (Triple("q0", "A", "q1"), Triple("q1", "Z", outer)))}
@@ -77,8 +78,8 @@ def test_one_state_one_pop_move_gives_exactly_two_transitions():
                   "p", "Z")
     sspda = to_single_state(p0)
     assert sspda.transitions == {
-        SsTransition("a", Triple("p", "Z", "p"), ()),
-        SsTransition(None, START, (Triple("p", "Z", "p"),)),
+        Transition(QM, "a", Triple("p", "Z", "p"), QM, ()),
+        Transition(QM, None, START, QM, (Triple("p", "Z", "p"),)),
     }
 
 
@@ -94,8 +95,8 @@ def test_p1_count_matches_the_hand_formula(p1):
 def test_no_moves_leaves_only_start_seeding():
     pda = Pda.make({"p", "q"}, {"a", "b"}, {"Z"}, set(), "p", "Z")
     assert to_single_state(pda).transitions == {
-        SsTransition(None, START, (Triple("p", "Z", "p"),)),
-        SsTransition(None, START, (Triple("p", "Z", "q"),)),
+        Transition(QM, None, START, QM, (Triple("p", "Z", "p"),)),
+        Transition(QM, None, START, QM, (Triple("p", "Z", "q"),)),
     }
 
 
@@ -107,8 +108,25 @@ def test_declared_stack_alphabet_is_every_triple_plus_marker(p1):
 
 def test_transitions_stay_in_the_single_state(p1):
     for tr in to_single_state(p1).transitions:
+        assert type(tr) is Transition
         assert tr.from_state == QM
         assert tr.to_state == QM
+
+
+def test_single_state_rows_render_as_pda_moves():
+    push = Transition(QM, "a", Triple("q0", "Z", "q1"), QM,
+                      (Triple("q0", "A", "q0"), Triple("q0", "Z", "q1")))
+    assert str(push) == "qm a [q0,Z,q1] -> qm [q0,A,q0] [q0,Z,q1]"
+    assert str(Transition(QM, None, START, QM, ())) == "qm eps Zs -> qm eps"
+
+
+def test_a_single_state_pda_has_the_start_attributes_of_a_pda(p1):
+    sspda = to_single_state(p1)
+    assert sspda.states == {"qm"}
+    assert (sspda.start_state, sspda.start_stack) == ("qm", "Zs")
+    # fixed for the kind, so they are not fields
+    assert [f.name for f in dataclasses.fields(SingleStatePda)] == [
+        "input_alphabet", "stack_alphabet", "transitions", "provenance"]
 
 
 def test_invalid_automata_are_refused():
@@ -192,15 +210,15 @@ def test_provenance_is_total_and_replays(pda):
         if record.rule == 3:
             assert record.source is None
             outer = tr.push[0].to_state
-            assert tr == SsTransition(
-                None, START, (Triple(pda.start_state, pda.start_stack, outer),))
+            assert tr == Transition(
+                QM, None, START, QM, (Triple(pda.start_state, pda.start_stack, outer),))
             seeded.add(outer)
             continue
         move = record.source
         assert record.rule == (2 if move.push else 1)
         links = (move.to_state, *(link.to_state for link in tr.push))
-        assert tr == SsTransition(
-            move.input, Triple(move.from_state, move.pop, links[-1]),
+        assert tr == Transition(
+            QM, move.input, Triple(move.from_state, move.pop, links[-1]), QM,
             tuple(Triple(links[i], symbol, links[i + 1])
                   for i, symbol in enumerate(move.push)))
     assert seeded == pda.states
