@@ -9,20 +9,19 @@ Exit codes: 0 success (for run/member: the string is accepted), 1 rejected
 or mismatches found, 2 inconclusive, 64 usage error, 65 parse or validation
 error.  Diagnostics go to stderr; payload goes to stdout, and nothing is
 written on a parse error.
+
+The conversions and the harness are imported by the commands that call
+them, so ``run``, ``member`` and ``enum`` start without loading them.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 from .engine import DEFAULT_LIMITS, Limits, accepts, cfg_member, enumerate_language
-from .grammar import classical_pda_to_cfg, pda_to_cfg, prune_useless
-from .harness import differential_check, routes
 from .model import Cfg, Pda, SingleStatePda
-from .singlestate import size_stats, to_single_state
 from .textio import ParseError, parse_pda, parse_source, render
 
 EXIT_OK = 0
@@ -124,8 +123,8 @@ def _load(path: str, needs: str, *kinds: type):
     ``kinds``, which the message calls ``needs``.  A file that fails to
     parse is reported by the parser ``parse_source`` picked, except that a
     command taking only multistate PDAs re-reads it with ``parse_pda``: a
-    broken single-state file, or a PDA file that lost its ``states:``
-    header, then gets the diagnostic meant for a PDA."""
+    broken single-state file, or a file with no PDA header at all, then
+    gets the diagnostic meant for a PDA."""
     text = _read(path)
     try:
         source = parse_source(text)
@@ -147,6 +146,9 @@ def _emit(payload: str, output) -> None:
 
 
 def _cmd_convert(args) -> int:
+    from .grammar import classical_pda_to_cfg, pda_to_cfg, prune_useless
+    from .singlestate import to_single_state
+
     if args.stage == "sspda" and (args.prune or args.classical):
         raise _UsageError("--prune and --classical apply only to --stage cfg")
     pda = _load(args.input, "a multistate PDA", Pda)
@@ -199,6 +201,8 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .harness import differential_check, routes
+
     pda = _load(args.pda, "a multistate PDA", Pda)
     limits = Limits(args.max_configs, args.max_depth)
     report = differential_check(routes(pda, args.classical), args.max_len, limits)
@@ -211,9 +215,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .singlestate import size_stats
+
     stats = size_stats(_load(args.pda, "a multistate PDA", Pda))
-    for field in dataclasses.fields(stats):
-        print(f"{field.name}={getattr(stats, field.name)}")
+    for name, value in stats._asdict().items():
+        print(f"{name}={value}")
     return EXIT_OK
 
 

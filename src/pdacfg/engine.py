@@ -26,32 +26,32 @@ import itertools
 import math
 import weakref
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Union
 
-from .model import Cfg, Configuration, Pda, SingleStatePda
+from .model import Cfg, Configuration, Pda, SingleStatePda, _Record
 
 Automaton = Union[Pda, SingleStatePda]
 LanguageSource = Union[Pda, SingleStatePda, Cfg]
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(_Record):
     """Search bounds for the PDA simulator; both must be positive."""
 
-    max_configs: int = 100_000
-    max_stack_depth: int = 64
+    __slots__ = _fields = _compared = ("max_configs", "max_stack_depth")
 
-    def __post_init__(self):
-        if self.max_configs <= 0 or self.max_stack_depth <= 0:
+    max_configs: int
+    max_stack_depth: int
+
+    def __init__(self, max_configs: int = 100_000, max_stack_depth: int = 64):
+        if max_configs <= 0 or max_stack_depth <= 0:
             raise ValueError("limits must be positive")
+        self._set(max_configs, max_stack_depth)
 
 
 DEFAULT_LIMITS = Limits()
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Simulator answer: accepted with a replayable witness, rejected after
     exhausting the frontier, or inconclusive naming the limit that got in
     the way."""

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .engine import DEFAULT_LIMITS, Limits, _language, _source_alphabet, strings_up_to
 from .grammar import classical_pda_to_cfg, sspda_to_cfg
@@ -23,8 +22,7 @@ from .textio import parse_pda
 Source = Union[Pda, SingleStatePda, Cfg]
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Outcome of one differential run.
 
     ``mismatches`` holds (string, per-source verdicts) pairs and
@@ -124,8 +122,7 @@ def differential_check(sources: Sequence[tuple[str, Source]], max_len: int,
     )
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     """A named automaton with its expected bounded language:
     ``expected_members`` is exhaustive up to ``sample_max_len``."""
 

@@ -7,12 +7,17 @@ automaton is a PDA whose one state is ``qm``: its moves are the same
 ``Transition`` type, and its stack symbols are the start symbol ``Zs`` and
 ``[p,X,q]`` triples.  Every type is immutable and hashable, so structural
 equality and use as set elements work throughout.
+
+``Transition``, ``Triple`` and ``Configuration`` are named tuples: they
+compare, hash and order as the tuples of their fields.  ``Pda``,
+``SingleStatePda`` and ``Cfg`` are ``_Record`` classes instead, because the
+simulator caches automata by weak reference and a diagnostic map
+(``provenance``, ``origins``) stays out of their equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 QM = "qm"  # canonical name of the sole state of a single-state PDA
 
@@ -32,8 +37,49 @@ def is_input_symbol(ch: str) -> bool:
     return len(ch) == 1 and ch.isprintable() and not ch.isspace() and ch not in "#|"
 
 
-@dataclass(frozen=True)
-class Transition:
+class _Record:
+    """Base of the records that cannot be tuples: immutable, weakly
+    referenceable, with value equality.
+
+    Each subclass lists its fields in ``_fields`` (and ``__slots__``), in
+    constructor order, and those that equality and hashing read in
+    ``_compared``.  ``repr`` shows every field.
+    """
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Transition(NamedTuple):
     """One move of a PDA.
 
     ``input`` is ``None`` for an epsilon move.  ``push`` is top-first: its
@@ -54,9 +100,12 @@ class Transition:
         return f"{self.from_state} {inp} {self.pop} -> {self.to_state} {rhs}"
 
 
-@dataclass(frozen=True)
-class Pda:
+class Pda(_Record):
     """Nondeterministic pushdown automaton accepting by empty stack."""
+
+    __slots__ = _fields = _compared = (
+        "states", "input_alphabet", "stack_alphabet", "transitions",
+        "start_state", "start_stack")
 
     states: frozenset[str]
     input_alphabet: frozenset[str]
@@ -64,6 +113,11 @@ class Pda:
     transitions: frozenset[Transition]
     start_state: str
     start_stack: str
+
+    def __init__(self, states, input_alphabet, stack_alphabet, transitions,
+                 start_state, start_stack):
+        self._set(states, input_alphabet, stack_alphabet, transitions,
+                  start_state, start_stack)
 
     @classmethod
     def make(cls, states, input_alphabet, stack_alphabet, transitions,
@@ -80,8 +134,7 @@ class Pda:
         )
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     """Composite stack symbol [p,X,q]: starting in state p with X on top of
     the stack, the automaton can consume some input, pop X off, and end in
     state q."""
@@ -99,8 +152,7 @@ START = "Zs"  # fresh start symbol of a single-state PDA
 SsSymbol = Union[str, Triple]
 
 
-@dataclass(frozen=True)
-class SingleStatePda:
+class SingleStatePda(_Record):
     """PDA whose only state is ``qm``; all bookkeeping lives in the triple
     stack symbols.
 
@@ -112,6 +164,9 @@ class SingleStatePda:
     excluded from structural equality.
     """
 
+    __slots__ = _fields = ("input_alphabet", "stack_alphabet", "transitions", "provenance")
+    _compared = _fields[:3]
+
     states = frozenset({QM})
     start_state = QM
     start_stack = START
@@ -119,14 +174,16 @@ class SingleStatePda:
     input_alphabet: frozenset[str]
     stack_alphabet: frozenset[SsSymbol]
     transitions: frozenset[Transition]
-    provenance: Optional[Mapping] = field(default=None, compare=False)
+    provenance: Optional[Mapping]
+
+    def __init__(self, input_alphabet, stack_alphabet, transitions, provenance=None):
+        self._set(input_alphabet, stack_alphabet, transitions, provenance)
 
 
 Production = tuple[str, tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class Cfg:
+class Cfg(_Record):
     """Context-free grammar over string symbols.
 
     Variables and terminals are disjoint; a production body is a tuple of
@@ -135,12 +192,17 @@ class Cfg:
     came from (diagnostic only, excluded from equality).
     """
 
+    __slots__ = _fields = ("variables", "terminals", "productions", "start", "origins")
+    _compared = _fields[:4]
+
     variables: frozenset[str]
     terminals: frozenset[str]
     productions: frozenset[Production]
     start: str
-    origins: Optional[Mapping[Production, tuple[str, ...]]] = field(
-        default=None, compare=False)
+    origins: Optional[Mapping[Production, tuple[str, ...]]]
+
+    def __init__(self, variables, terminals, productions, start, origins=None):
+        self._set(variables, terminals, productions, start, origins)
 
     @classmethod
     def make(cls, variables, terminals, productions, start, origins=None) -> "Cfg":
@@ -153,8 +215,7 @@ class Cfg:
         )
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """Instantaneous description: control state, input offset, stack.
 
     ``stack[0]`` is the top.  For single-state automata the state is ``qm``

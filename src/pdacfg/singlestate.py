@@ -12,14 +12,12 @@ are spelled by its own triples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import QM, START, Pda, SingleStatePda, Transition, Triple, validate_pda
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """Why a single-state row exists.
 
     Rule 1 wraps the pop move ``source``, rule 2 expands the push move
@@ -36,8 +34,7 @@ class Provenance:
         return f"rule{self.rule} {self.source}"
 
 
-@dataclass(frozen=True)
-class SizeStats:
+class SizeStats(NamedTuple):
     """Size accounting for one conversion.
 
     ``predicted_ss_transitions`` is the closed-form count |Q| + sum over

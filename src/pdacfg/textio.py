@@ -39,6 +39,7 @@ from .model import (
 
 PDA_HEADERS = ("states", "input", "stack", "start", "startstack")
 CFG_HEADERS = ("variables", "terminals", "start")
+_PDA_ONLY_HEADERS = {f"{name}:" for name in PDA_HEADERS if name not in CFG_HEADERS}
 
 _TRIPLE_RE = re.compile(r"\[([^,\s\[\]]+),([^,\s\[\]]+),([^,\s\[\]]+)\]")
 
@@ -400,12 +401,14 @@ def render(obj: Union[Pda, SingleStatePda, Cfg], verbose: bool = False) -> str:
 def parse_source(text: str) -> Union[Pda, SingleStatePda, Cfg]:
     """Parse text as whichever of the three formats it is.
 
-    A ``states:`` header marks the PDA family; a ``stack:`` token that
+    Any header only the PDA formats have (``states:``, ``input:``,
+    ``stack:``, ``startstack:``) marks the PDA family, so a PDA file missing
+    some header is still reported by the PDA parser; a ``stack:`` token that
     decodes to a ``[p,X,q]`` triple marks the single-state variant, so a
     malformed bracketed token is left for the PDA parser to report.
     Everything else parses as a grammar.
     """
-    is_pda = any(tokens[0] == "states:" for _, tokens in _content_lines(text))
+    is_pda = any(tokens[0] in _PDA_ONLY_HEADERS for _, tokens in _content_lines(text))
     if not is_pda:
         return parse_cfg(text)
     for _, tokens in _content_lines(text):

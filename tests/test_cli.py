@@ -227,20 +227,21 @@ def test_pda_commands_name_the_kind_of_file_they_were_given(
 
 @pytest.mark.parametrize("command", ["convert", "check", "stats"])
 def test_pda_commands_keep_the_pda_parser_diagnostics(tmp_path, capsys, command):
-    for text, message in [
-        (P1_TEXT.replace("states: q0 q1\n", ""), "error: missing header 'states'\n"),
-        (P1_TEXT.replace("stack: Z A", "stack: Z [q0,A,q0]"),
-         "error: line 3: invalid stack symbol '[q0,A,q0]'\n"),
-    ]:
-        path = tmp_path / "bad.pda"
-        path.write_text(text)
-        assert main([command, str(path)]) == 65
-        assert capsys.readouterr() == ("", message)
+    # A well-formed triple makes the file single-state; the PDA parser
+    # still names the fault for a command that takes only a PDA.
+    path = tmp_path / "bad.pda"
+    path.write_text(P1_TEXT.replace("stack: Z A", "stack: Z [q0,A,q0]"))
+    assert main([command, str(path)]) == 65
+    assert capsys.readouterr() == ("", "error: line 3: invalid stack symbol '[q0,A,q0]'\n")
 
 
-@pytest.mark.parametrize("command", [
+EVERY_COMMAND = [
     ["run", "ab"], ["enum", "--max-len", "2"], ["convert"], ["check"], ["stats"],
-])
+    ["member", "ab"],
+]
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND)
 def test_a_malformed_bracketed_stack_token_is_reported_by_every_command(
         tmp_path, capsys, command):
     # "[A" decodes to no triple, so the file is a PDA with a bad symbol
@@ -248,6 +249,16 @@ def test_a_malformed_bracketed_stack_token_is_reported_by_every_command(
     path.write_text(P1_TEXT.replace("stack: Z A", "stack: Z [A"))
     assert main([command[0], str(path), *command[1:]]) == 65
     assert capsys.readouterr() == ("", "error: line 3: invalid stack symbol '[A'\n")
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND)
+def test_a_pda_file_without_its_states_header_is_reported_by_every_command(
+        tmp_path, capsys, command):
+    # its other PDA headers still mark it as a PDA
+    path = tmp_path / "bad.pda"
+    path.write_text(P1_TEXT.replace("states: q0 q1\n", ""))
+    assert main([command[0], str(path), *command[1:]]) == 65
+    assert capsys.readouterr() == ("", "error: missing header 'states'\n")
 
 
 TWELVE_STATES_ONE_LONG_PUSH = (

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -125,7 +124,7 @@ def test_a_single_state_pda_has_the_start_attributes_of_a_pda(p1):
     assert sspda.states == {"qm"}
     assert (sspda.start_state, sspda.start_stack) == ("qm", "Zs")
     # fixed for the kind, so they are not fields
-    assert [f.name for f in dataclasses.fields(SingleStatePda)] == [
+    assert list(SingleStatePda._fields) == [
         "input_alphabet", "stack_alphabet", "transitions", "provenance"]
 
 

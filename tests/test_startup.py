@@ -1,0 +1,48 @@
+"""What a fresh CLI process loads: no ``dataclasses`` (and so no
+``inspect``) on any path, and only the layers its command calls."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pdacfg
+from pdacfg import P1_TEXT
+from pdacfg.cli import main
+
+SRC = str(Path(pdacfg.__file__).resolve().parent.parent)
+
+
+def _loaded_after(code: str) -> set:
+    """The modules loaded in a fresh interpreter after running ``code``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    loaded = _loaded_after("import pdacfg.cli")
+    assert "pdacfg.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["enum", "{cfg}", "--max-len", "3"],
+    ["member", "{cfg}", "aabb"],
+    ["run", "{pda}", "aabb"],
+])
+def test_query_commands_load_no_conversion_or_harness(tmp_path, argv):
+    pda, cfg = tmp_path / "P1.pda", tmp_path / "P1.cfg"
+    pda.write_text(P1_TEXT)
+    assert main(["convert", str(pda), "-o", str(cfg)]) == 0
+    argv = [arg.format(pda=pda, cfg=cfg) for arg in argv]
+    loaded = _loaded_after(
+        f"from pdacfg import cli\nassert cli.main({argv!r}) == 0")
+    assert "pdacfg.engine" in loaded
+    assert not loaded & {"pdacfg.harness", "pdacfg.grammar", "pdacfg.singlestate"}

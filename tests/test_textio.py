@@ -152,6 +152,16 @@ def test_parse_source_distinguishes_the_three_formats():
     assert parse_source(render(cfg)) == cfg
 
 
+@pytest.mark.parametrize("header", ["states", "input", "stack", "startstack"])
+def test_any_header_only_a_pda_has_marks_a_pda_file(header):
+    kept = [line for line in P1_TEXT.splitlines(keepends=True)
+            if " -> " in line or line.startswith(f"{header}:")]
+    with pytest.raises(ParseError, match="missing header"):
+        parse_source("".join(kept))
+    # start: is a grammar header too
+    assert parse_source("start: S\nS -> a\n") == parse_cfg("S -> a\n")
+
+
 def test_sspda_parser_rejects_pushing_the_start_marker():
     pda = Pda.make({"p"}, {"a"}, {"Z"}, {Transition("p", "a", "Z", "p", ())},
                    "p", "Z")
