@@ -9,8 +9,9 @@ harness compares them exhaustively on all strings up to a length bound.
 
 import importlib
 
-# Each public name and the module defining it.  A name is imported on first
-# use, so a process loads only the layers it touches.
+# Every public name, under the module defining it; ``__all__`` is read off
+# this table.  A name is imported on first use, so a process loads only the
+# layers it touches.
 _EXPORTS = {
     "engine": ("DEFAULT_LIMITS", "Limits", "Verdict", "accepts", "cfg_member",
                "derivable_strings", "enumerate_language", "replay_configurations",
@@ -29,47 +30,7 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "QM",
-    "START",
-    "Cfg",
-    "Configuration",
-    "DEFAULT_LIMITS",
-    "EquivalenceReport",
-    "Limits",
-    "P1_TEXT",
-    "ParseError",
-    "Pda",
-    "SingleStatePda",
-    "Transition",
-    "Triple",
-    "Verdict",
-    "accepts",
-    "builtin_corpus",
-    "cfg_member",
-    "classical_pda_to_cfg",
-    "derivable_strings",
-    "differential_check",
-    "enumerate_language",
-    "generating_variables",
-    "parse_cfg",
-    "parse_pda",
-    "parse_source",
-    "parse_sspda",
-    "pda_to_cfg",
-    "prune_useless",
-    "random_cfg",
-    "random_pda",
-    "reachable_symbols",
-    "render",
-    "replay_configurations",
-    "routes",
-    "size_stats",
-    "sspda_to_cfg",
-    "strings_up_to",
-    "to_single_state",
-    "validate_pda",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

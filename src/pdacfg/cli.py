@@ -245,10 +245,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, ValueError) as err:
+    except (ParseError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

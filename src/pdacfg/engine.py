@@ -73,17 +73,6 @@ class Verdict(NamedTuple):
         return self.kind == "inconclusive"
 
 
-def _accepted(witness) -> Verdict:
-    return Verdict("accepted", witness=tuple(witness))
-
-
-_REJECTED = Verdict("rejected")
-
-
-def _inconclusive(reason: str) -> Verdict:
-    return Verdict("inconclusive", reason=reason)
-
-
 class _Compiled(NamedTuple):
     """An automaton's moves, indexed by state and stack symbol interned to
     ints; both automaton kinds compile the same way.
@@ -164,7 +153,7 @@ def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     pruned = False
     while queue:
         if explored >= max_configs:
-            return _inconclusive("max_configs")
+            return Verdict("inconclusive", reason="max_configs")
         config = queue.popleft()
         explored += 1
         state, pos, stack = config
@@ -174,7 +163,7 @@ def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
                 while parents[config] is not None:
                     config, move = parents[config]
                     witness.append(move)
-                return _accepted(reversed(witness))
+                return Verdict("accepted", witness=tuple(reversed(witness)))
             continue
         ch = w[pos] if pos < n else None
         rest = stack[1:]
@@ -194,7 +183,9 @@ def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
                 continue
             parents[successor] = (config, t)
             queue.append(successor)
-    return _inconclusive("max_stack_depth") if pruned else _REJECTED
+    if pruned:
+        return Verdict("inconclusive", reason="max_stack_depth")
+    return Verdict("rejected")
 
 
 def _close(compiled: _Compiled, seeds, budget: int, max_depth: int, read: bool):

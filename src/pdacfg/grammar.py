@@ -31,13 +31,8 @@ def sspda_to_cfg(sspda: SingleStatePda) -> Cfg:
             + tuple(str(s) for s in t.push)
         productions.add((head, body))
         origins[(head, body)] = (str(t),)
-    return Cfg(
-        variables=frozenset(str(s) for s in sspda.stack_alphabet),
-        terminals=frozenset(sspda.input_alphabet),
-        productions=frozenset(productions),
-        start=START,
-        origins=origins,
-    )
+    return Cfg((str(s) for s in sspda.stack_alphabet), sspda.input_alphabet, productions,
+               START, origins)
 
 
 def pda_to_cfg(pda: Pda) -> Cfg:
@@ -66,33 +61,22 @@ def classical_pda_to_cfg(pda: Pda) -> Cfg:
         prod = (start, (f"[{pda.start_state},{pda.start_stack},{s}]",))
         productions.add(prod)
         origins[prod] = ("start seeding",)
+    # A pop move is the l = 0 case: one empty choice, so its head ends in
+    # the move's own target state and its body is the input alone.
     for move in sorted(pda.transitions, key=str):
         prefix = (move.input,) if move.input is not None else ()
-        if not move.push:
-            prod = (f"[{move.from_state},{move.pop},{move.to_state}]", prefix)
+        for choice in itertools.product(states, repeat=len(move.push)):
+            links = (move.to_state, *choice)
+            body = prefix + tuple(f"[{links[i]},{sym},{links[i + 1]}]"
+                                  for i, sym in enumerate(move.push))
+            prod = (f"[{move.from_state},{move.pop},{links[-1]}]", body)
             productions.add(prod)
             origins.setdefault(prod, (str(move),))
-        else:
-            length = len(move.push)
-            for choice in itertools.product(states, repeat=length):
-                links = (move.to_state,) + choice
-                body = prefix + tuple(
-                    f"[{links[i]},{move.push[i]},{links[i + 1]}]"
-                    for i in range(length))
-                prod = (f"[{move.from_state},{move.pop},{choice[-1]}]", body)
-                productions.add(prod)
-                origins.setdefault(prod, (str(move),))
 
     variables = {start} | {
         f"[{p},{base},{q}]"
         for p in pda.states for base in pda.stack_alphabet for q in pda.states}
-    return Cfg(
-        variables=frozenset(variables),
-        terminals=frozenset(pda.input_alphabet),
-        productions=frozenset(productions),
-        start=start,
-        origins=origins,
-    )
+    return Cfg(variables, pda.input_alphabet, productions, start, origins)
 
 
 def generating_variables(cfg: Cfg) -> frozenset[str]:
@@ -140,22 +124,9 @@ def prune_useless(cfg: Cfg) -> Cfg:
         for head, body in cfg.productions
         if head in gen and all(sym in cfg.terminals or sym in gen for sym in body)
     }
-    narrowed = Cfg(
-        variables=frozenset(gen | {cfg.start}),
-        terminals=cfg.terminals,
-        productions=frozenset(kept),
-        start=cfg.start,
-    )
-    reached = reachable_symbols(narrowed)
+    reached = reachable_symbols(Cfg(gen | {cfg.start}, cfg.terminals, kept, cfg.start))
     productions = frozenset((h, b) for h, b in kept if h in reached)
-    variables = frozenset((gen & reached) | {cfg.start})
     origins = None
     if cfg.origins is not None:
         origins = {p: cfg.origins[p] for p in productions if p in cfg.origins}
-    return Cfg(
-        variables=variables,
-        terminals=cfg.terminals,
-        productions=productions,
-        start=cfg.start,
-        origins=origins,
-    )
+    return Cfg((gen & reached) | {cfg.start}, cfg.terminals, productions, cfg.start, origins)

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import random
 import time
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
-from .engine import DEFAULT_LIMITS, Limits, _language, _source_alphabet, strings_up_to
+from .engine import (DEFAULT_LIMITS, LanguageSource, Limits, _language, _source_alphabet,
+                     strings_up_to)
 from .grammar import classical_pda_to_cfg, sspda_to_cfg
-from .model import Cfg, Pda, SingleStatePda, Transition
+from .model import Cfg, Pda, Transition
 from .singlestate import to_single_state
 from .textio import parse_pda
-
-Source = Union[Pda, SingleStatePda, Cfg]
 
 
 class EquivalenceReport(NamedTuple):
@@ -69,7 +68,7 @@ class EquivalenceReport(NamedTuple):
         return "\n".join(lines)
 
 
-def routes(pda: Pda, classical: bool) -> list[tuple[str, Source]]:
+def routes(pda: Pda, classical: bool) -> list[tuple[str, LanguageSource]]:
     """The labeled language sources a differential check compares for
     ``pda``: the automaton, its single-state form, and the staged grammar,
     plus the direct one-step grammar when ``classical`` is set."""
@@ -80,7 +79,7 @@ def routes(pda: Pda, classical: bool) -> list[tuple[str, Source]]:
     return sources
 
 
-def differential_check(sources: Sequence[tuple[str, Source]], max_len: int,
+def differential_check(sources: Sequence[tuple[str, LanguageSource]], max_len: int,
                        limits: Limits = DEFAULT_LIMITS) -> EquivalenceReport:
     """Compare labeled language sources on every string up to ``max_len``
     over the first source's alphabet, which every source must share."""
@@ -176,12 +175,12 @@ def builtin_corpus() -> list[CorpusEntry]:
     its empty language is invisible to the bounded simulator but plain to
     the grammar routes.
     """
-    p0 = Pda.make(
+    p0 = Pda(
         states={"p"}, input_alphabet={"a"}, stack_alphabet={"Z"},
         transitions={Transition("p", "a", "Z", "p", ())},
         start_state="p", start_stack="Z")
     p1 = parse_pda(P1_TEXT)
-    p2 = Pda.make(
+    p2 = Pda(
         states={"q"}, input_alphabet={"(", ")"}, stack_alphabet={"Z", "P"},
         transitions={
             Transition("q", "(", "Z", "q", ("P", "Z")),
@@ -190,7 +189,7 @@ def builtin_corpus() -> list[CorpusEntry]:
             Transition("q", None, "Z", "q", ()),
         },
         start_state="q", start_stack="Z")
-    p3 = Pda.make(
+    p3 = Pda(
         states={"q0", "q1"}, input_alphabet={"a", "b"},
         stack_alphabet={"Z", "A", "B"},
         transitions={
@@ -208,10 +207,10 @@ def builtin_corpus() -> list[CorpusEntry]:
             Transition("q1", None, "Z", "q1", ()),
         },
         start_state="q0", start_stack="Z")
-    p4 = Pda.make(
+    p4 = Pda(
         states={"p", "q"}, input_alphabet={"a", "b"}, stack_alphabet={"Z"},
         transitions=set(), start_state="p", start_stack="Z")
-    p5 = Pda.make(
+    p5 = Pda(
         states={"q"}, input_alphabet={"a", "b"}, stack_alphabet={"Z"},
         transitions={Transition("q", None, "Z", "q", ("Z", "Z"))},
         start_state="q", start_stack="Z")
@@ -260,7 +259,7 @@ def random_pda(seed: int) -> Pda:
                 rng.choice(stack)
                 for _ in range(rng.randint(1, _PDA_MAX_PUSH_LEN)))
         moves.add(Transition(frm, inp, pop, to, push))
-    return Pda.make(states, ("a", "b"), stack, moves, states[0], "Z")
+    return Pda(states, ("a", "b"), stack, moves, states[0], "Z")
 
 
 def random_cfg(seed: int) -> Cfg:
@@ -278,4 +277,4 @@ def random_cfg(seed: int) -> Cfg:
         body = tuple(
             rng.choice(symbols) for _ in range(rng.randint(0, _CFG_MAX_BODY_LEN)))
         productions.add((head, body))
-    return Cfg.make(variables, ("a", "b"), productions, "S")
+    return Cfg(variables, ("a", "b"), productions, "S")

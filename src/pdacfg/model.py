@@ -101,7 +101,12 @@ class Transition(NamedTuple):
 
 
 class Pda(_Record):
-    """Nondeterministic pushdown automaton accepting by empty stack."""
+    """Nondeterministic pushdown automaton accepting by empty stack.
+
+    The four sets may be given as any iterables; they are stored as
+    frozensets.  No validation happens here: ill-formed automata are
+    constructible and reported by ``validate_pda``.
+    """
 
     __slots__ = _fields = _compared = (
         "states", "input_alphabet", "stack_alphabet", "transitions",
@@ -116,22 +121,8 @@ class Pda(_Record):
 
     def __init__(self, states, input_alphabet, stack_alphabet, transitions,
                  start_state, start_stack):
-        self._set(states, input_alphabet, stack_alphabet, transitions,
-                  start_state, start_stack)
-
-    @classmethod
-    def make(cls, states, input_alphabet, stack_alphabet, transitions,
-             start_state, start_stack) -> "Pda":
-        """Build a Pda from arbitrary iterables.  No validation happens here;
-        ill-formed automata are constructible and reported by validate_pda."""
-        return cls(
-            states=frozenset(states),
-            input_alphabet=frozenset(input_alphabet),
-            stack_alphabet=frozenset(stack_alphabet),
-            transitions=frozenset(transitions),
-            start_state=start_state,
-            start_stack=start_stack,
-        )
+        self._set(frozenset(states), frozenset(input_alphabet), frozenset(stack_alphabet),
+                  frozenset(transitions), start_state, start_stack)
 
 
 class Triple(NamedTuple):
@@ -187,9 +178,11 @@ class Cfg(_Record):
     """Context-free grammar over string symbols.
 
     Variables and terminals are disjoint; a production body is a tuple of
-    symbols, and the empty tuple denotes an epsilon production.  ``origins``
-    optionally maps productions to human-readable descriptions of where they
-    came from (diagnostic only, excluded from equality).
+    symbols, and the empty tuple denotes an epsilon production.  The three
+    sets may be given as any iterables; they are stored as frozensets, and
+    no validation happens here.  ``origins`` optionally maps productions to
+    human-readable descriptions of where they came from (diagnostic only,
+    excluded from equality).
     """
 
     __slots__ = _fields = ("variables", "terminals", "productions", "start", "origins")
@@ -202,17 +195,8 @@ class Cfg(_Record):
     origins: Optional[Mapping[Production, tuple[str, ...]]]
 
     def __init__(self, variables, terminals, productions, start, origins=None):
-        self._set(variables, terminals, productions, start, origins)
-
-    @classmethod
-    def make(cls, variables, terminals, productions, start, origins=None) -> "Cfg":
-        return cls(
-            variables=frozenset(variables),
-            terminals=frozenset(terminals),
-            productions=frozenset((h, tuple(b)) for h, b in productions),
-            start=start,
-            origins=origins,
-        )
+        self._set(frozenset(variables), frozenset(terminals), frozenset(productions),
+                  start, origins)
 
 
 class Configuration(NamedTuple):

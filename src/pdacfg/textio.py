@@ -194,8 +194,8 @@ def parse_pda(text: str) -> Pda:
     """
     headers, move_lines, declared = _parse_declarations(text, _token, _token)
     start_state, start_stack, moves = _parse_references(headers, move_lines, declared)
-    return Pda.make(declared["state"], declared["input symbol"], declared["stack symbol"],
-                    {Transition(*move) for _, move in moves}, start_state, start_stack)
+    return Pda(declared["state"], declared["input symbol"], declared["stack symbol"],
+               {Transition(*move) for _, move in moves}, start_state, start_stack)
 
 
 def parse_sspda(text: str) -> SingleStatePda:
@@ -318,8 +318,7 @@ def parse_cfg(text: str) -> Cfg:
     if overlap:
         raise ParseError(None, f"symbol {sorted(overlap)[0]!r} declared both variable and terminal")
 
-    return Cfg.make(variables, terminals,
-                    {(head, body) for _, head, body in raw_prods}, start)
+    return Cfg(variables, terminals, {(head, body) for _, head, body in raw_prods}, start)
 
 
 def _header_line(name: str, symbols) -> str:
@@ -408,12 +407,11 @@ def parse_source(text: str) -> Union[Pda, SingleStatePda, Cfg]:
     malformed bracketed token is left for the PDA parser to report.
     Everything else parses as a grammar.
     """
-    is_pda = any(tokens[0] in _PDA_ONLY_HEADERS for _, tokens in _content_lines(text))
-    if not is_pda:
-        return parse_cfg(text)
+    is_pda = False
     for _, tokens in _content_lines(text):
         if tokens[0] == "stack:" and any(
                 isinstance(parse_ss_symbol(t), Triple) for t in tokens[1:]):
             return parse_sspda(text)
-    return parse_pda(text)
+        is_pda = is_pda or tokens[0] in _PDA_ONLY_HEADERS
+    return parse_pda(text) if is_pda else parse_cfg(text)
 

@@ -26,8 +26,8 @@ def pdas(draw, max_states=3, max_stack=3, max_moves=6, max_push=3):
         moves.add(Transition(
             draw(st.sampled_from(states)), inp, draw(st.sampled_from(stack)),
             draw(st.sampled_from(states)), push))
-    return Pda.make(states, alphabet, stack, moves,
-                    draw(st.sampled_from(states)), draw(st.sampled_from(stack)))
+    return Pda(states, alphabet, stack, moves,
+               draw(st.sampled_from(states)), draw(st.sampled_from(stack)))
 
 
 @st.composite
@@ -46,4 +46,4 @@ def cfgs(draw, max_productions=6, max_body=3):
             st.sampled_from(symbols), min_size=0, max_size=max_body)))
         productions.add((head, body))
     start = draw(st.sampled_from(variables))
-    return Cfg.make(variables, terminals, productions, start)
+    return Cfg(variables, terminals, productions, start)

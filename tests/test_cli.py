@@ -311,3 +311,12 @@ def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
     assert len(witnessed[("run", "anbn.pda", "aabb")]) == 5
     assert witnessed[("check", "anbn.pda", "--max-len", "8", "--classical")] == [
         "checked=511 agree=511 mismatch=0 inconclusive=0"]
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    # README's only python block, executed as it stands.
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("```python")
+    assert "```python" not in lines[start + 1:]
+    exec("\n".join(lines[start + 1:lines.index("```", start)]), {})
+    assert capsys.readouterr().out == "checked=511 agree=511 mismatch=0 inconclusive=0\n"

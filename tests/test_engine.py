@@ -62,8 +62,8 @@ def test_aab_is_rejected_exhaustively(p1):
 
 
 def test_pure_push_loop_is_inconclusive():
-    p5 = Pda.make({"q"}, {"a"}, {"Z"},
-                  {Transition("q", None, "Z", "q", ("Z", "Z"))}, "q", "Z")
+    p5 = Pda({"q"}, {"a"}, {"Z"},
+             {Transition("q", None, "Z", "q", ("Z", "Z"))}, "q", "Z")
     verdict = accepts(p5, "a")
     assert verdict.is_inconclusive
     assert verdict.reason in ("max_configs", "max_stack_depth")
@@ -111,7 +111,7 @@ def test_rejection_is_stable_under_doubled_limits():
 
 
 def test_epsilon_grammar_membership():
-    cfg = Cfg.make({"S"}, {"a"}, {("S", ())}, "S")
+    cfg = Cfg({"S"}, {"a"}, {("S", ())}, "S")
     assert cfg_member(cfg, "") is True
     assert cfg_member(cfg, "a") is False
 
@@ -123,13 +123,13 @@ def test_p1_grammar_membership(p1):
 
 
 def test_left_recursion_is_recognized():
-    cfg = Cfg.make({"S"}, {"a"}, {("S", ("S", "a")), ("S", ("a",))}, "S")
+    cfg = Cfg({"S"}, {"a"}, {("S", ("S", "a")), ("S", ("a",))}, "S")
     assert cfg_member(cfg, "aaa") is True
     assert cfg_member(cfg, "") is False
 
 
 def test_nullable_chains_and_unit_cycles():
-    cfg = Cfg.make(
+    cfg = Cfg(
         {"S", "A", "B"}, {"a"},
         {("S", ("A", "B")), ("A", ("B",)), ("B", ("A",)), ("A", ()),
          ("B", ("a",))},
@@ -139,20 +139,20 @@ def test_nullable_chains_and_unit_cycles():
 
 
 def test_terminal_set_is_enforced():
-    cfg = Cfg.make({"S"}, {"a"}, {("S", ("a",))}, "S")
+    cfg = Cfg({"S"}, {"a"}, {("S", ("a",))}, "S")
     with pytest.raises(ValueError):
         cfg_member(cfg, "b")
 
 
 def test_oracle_enumerates_nested_pairs():
-    cfg = Cfg.make({"S"}, {"a", "b"},
-                   {("S", ("a", "b")), ("S", ("a", "S", "b"))}, "S")
+    cfg = Cfg({"S"}, {"a", "b"},
+              {("S", ("a", "b")), ("S", ("a", "S", "b"))}, "S")
     assert derivable_strings(cfg, 6) == {"ab", "aabb", "aaabbb"}
 
 
 def test_oracle_survives_nullable_self_concatenation():
-    cfg = Cfg.make({"S"}, {"a"},
-                   {("S", ("S", "S")), ("S", ()), ("S", ("a",))}, "S")
+    cfg = Cfg({"S"}, {"a"},
+              {("S", ("S", "S")), ("S", ()), ("S", ("a",))}, "S")
     assert derivable_strings(cfg, 3) == {"", "a", "aa", "aaa"}
 
 
@@ -197,13 +197,13 @@ def test_walk_matches_a_member_loop_on_random_grammars(cfg):
 
 @pytest.mark.parametrize("cfg, language", [
     # Mutually nullable variables: A -> B B, B -> eps | A.
-    (Cfg.make({"A", "B"}, {"a"}, {("A", ("B", "B")), ("B", ()), ("B", ("A",))}, "A"),
+    (Cfg({"A", "B"}, {"a"}, {("A", ("B", "B")), ("B", ()), ("B", ("A",))}, "A"),
      {""}),
-    (Cfg.make({"S"}, {"a"}, {("S", ("S", "S")), ("S", ()), ("S", ("a",))}, "S"),
+    (Cfg({"S"}, {"a"}, {("S", ("S", "S")), ("S", ()), ("S", ("a",))}, "S"),
      {"", "a", "aa", "aaa", "aaaa"}),
-    (Cfg.make({"S"}, {"a", "b"}, set(), "S"), set()),
-    (Cfg.make({"S"}, set(), {("S", ("S", "S")), ("S", ())}, "S"), {""}),
-    (Cfg.make({"S"}, set(), {("S", ("S",))}, "S"), set()),
+    (Cfg({"S"}, {"a", "b"}, set(), "S"), set()),
+    (Cfg({"S"}, set(), {("S", ("S", "S")), ("S", ())}, "S"), {""}),
+    (Cfg({"S"}, set(), {("S", ("S",))}, "S"), set()),
 ])
 def test_walk_on_nullable_cycles_and_degenerate_grammars(cfg, language):
     assert _member_loop(cfg, 4) == language
@@ -226,7 +226,7 @@ def test_walk_skips_every_prefix_no_member_extends(corpus, monkeypatch):
 
 
 def test_enumerate_epsilon_grammar():
-    cfg = Cfg.make({"S"}, {"a"}, {("S", ())}, "S")
+    cfg = Cfg({"S"}, {"a"}, {("S", ())}, "S")
     assert enumerate_language(cfg, 3) == ({""}, True)
 
 
@@ -236,7 +236,7 @@ def test_enumerate_p1_grammar(p1):
 
 
 def test_enumerate_empty_automaton_is_complete():
-    pda = Pda.make({"p", "q"}, {"a", "b"}, {"Z"}, set(), "p", "Z")
+    pda = Pda({"p", "q"}, {"a", "b"}, {"Z"}, set(), "p", "Z")
     assert enumerate_language(pda, 5) == (set(), True)
 
 
@@ -435,8 +435,8 @@ def test_walk_decides_within_the_budget_and_asks_accepts_past_it(corpus, monkeyp
     p3 = to_single_state(corpus["P3"].pda)
     # Accepts the empty string beside a push loop, so its search accepts
     # long before it has reached everything.
-    loop = Pda.make({"q"}, {"a"}, {"Z"}, {Transition("q", None, "Z", "q", ("Z", "Z")),
-                                          Transition("q", None, "Z", "q", ())}, "q", "Z")
+    loop = Pda({"q"}, {"a"}, {"Z"}, {Transition("q", None, "Z", "q", ("Z", "Z")),
+                                     Transition("q", None, "Z", "q", ())}, "q", "Z")
     cases = [(p3, "abba"), (p3, "abab"), (p3, "aab"), (p3, "ba"), (loop, "")]
     counts = {w: reachable(m, w, DEFAULT_LIMITS.max_stack_depth) for m, w in cases}
     for m, w in cases[1:4]:

@@ -15,6 +15,7 @@ from pdacfg import (
     parse_pda,
     pda_to_cfg,
     prune_useless,
+    random_pda,
     reachable_symbols,
     sspda_to_cfg,
     to_single_state,
@@ -55,8 +56,8 @@ def test_p1_grammar_has_fourteen_productions_and_start_zs():
 
 
 def test_one_move_automaton_composes_to_a_two_rule_grammar():
-    p0 = Pda.make({"p"}, {"a"}, {"Z"}, {Transition("p", "a", "Z", "p", ())},
-                  "p", "Z")
+    p0 = Pda({"p"}, {"a"}, {"Z"}, {Transition("p", "a", "Z", "p", ())},
+             "p", "Z")
     cfg = pda_to_cfg(p0)
     assert cfg.productions == {("Zs", ("[p,Z,p]",)), ("[p,Z,p]", ("a",))}
     assert enumerate_language(cfg, 3) == ({"a"}, True)
@@ -70,15 +71,15 @@ def test_p1_bounded_language_is_matched_as_and_bs():
 
 
 def test_empty_automaton_grammar_generates_nothing():
-    pda = Pda.make({"p", "q"}, {"a", "b"}, {"Z"}, set(), "p", "Z")
+    pda = Pda({"p", "q"}, {"a", "b"}, {"Z"}, set(), "p", "Z")
     cfg = pda_to_cfg(pda)
     assert len(cfg.productions) == 2
     assert enumerate_language(cfg, 4) == (set(), True)
 
 
 def test_classical_route_on_the_singleton_language():
-    p0 = Pda.make({"p"}, {"a"}, {"Z"}, {Transition("p", "a", "Z", "p", ())},
-                  "p", "Z")
+    p0 = Pda({"p"}, {"a"}, {"Z"}, {Transition("p", "a", "Z", "p", ())},
+             "p", "Z")
     cfg = classical_pda_to_cfg(p0)
     assert cfg.productions == {("S", ("[p,Z,p]",)), ("[p,Z,p]", ("a",))}
     assert enumerate_language(cfg, 3) == ({"a"}, True)
@@ -91,23 +92,41 @@ def test_routes_agree_on_p1_at_length_eight():
     assert staged == direct == {"a" * n + "b" * n for n in range(5)}
 
 
-def test_production_counts_match_across_the_corpus():
-    for entry in builtin_corpus():
-        staged = pda_to_cfg(entry.pda)
-        direct = classical_pda_to_cfg(entry.pda)
-        assert len(staged.productions) == len(direct.productions), entry.name
+def _classical_from_staged(pda):
+    """The staged grammar with its start variable ``Zs`` renamed to the
+    classical route's start, and the classical grammar itself."""
+    staged, direct = pda_to_cfg(pda), classical_pda_to_cfg(pda)
+
+    def rename(sym):
+        return direct.start if sym == START else sym
+
+    renamed = Cfg({rename(v) for v in staged.variables}, staged.terminals,
+                  {(rename(head), tuple(map(rename, body)))
+                   for head, body in staged.productions},
+                  direct.start)
+    return renamed, direct
+
+
+def test_staged_and_classical_grammars_are_equal_up_to_the_start():
+    automata = [(entry.name, entry.pda) for entry in builtin_corpus()]
+    automata += [(f"seed{seed}", random_pda(seed)) for seed in range(1, 200)]
+    for name, pda in automata:
+        renamed, direct = _classical_from_staged(pda)
+        assert renamed.productions == direct.productions, name
+        assert renamed.variables == direct.variables, name
+        assert renamed.terminals == direct.terminals, name
 
 
 def test_classical_start_symbol_dodges_the_input_alphabet():
-    pda = Pda.make({"p"}, {"S"}, {"Z"}, {Transition("p", "S", "Z", "p", ())},
-                   "p", "Z")
+    pda = Pda({"p"}, {"S"}, {"Z"}, {Transition("p", "S", "Z", "p", ())},
+              "p", "Z")
     cfg = classical_pda_to_cfg(pda)
     assert cfg.start == "S0"
     assert enumerate_language(cfg, 2) == ({"S"}, True)
 
 
 def test_prune_drops_an_unreachable_variable():
-    cfg = Cfg.make({"S", "A"}, {"a", "b"}, {("S", ("a",)), ("A", ("b",))}, "S")
+    cfg = Cfg({"S", "A"}, {"a", "b"}, {("S", ("a",)), ("A", ("b",))}, "S")
     pruned = prune_useless(cfg)
     assert pruned.productions == {("S", ("a",))}
     assert pruned.variables == {"S"}
@@ -116,7 +135,7 @@ def test_prune_drops_an_unreachable_variable():
 
 
 def test_prune_keeps_a_useless_start_and_an_empty_language():
-    cfg = Cfg.make({"S", "A"}, set(), {("S", ("A",)), ("A", ("A",))}, "S")
+    cfg = Cfg({"S", "A"}, set(), {("S", ("A",)), ("A", ("A",))}, "S")
     pruned = prune_useless(cfg)
     assert pruned.productions == frozenset()
     assert pruned.variables == {"S"}
@@ -144,6 +163,12 @@ def test_productions_mirror_transitions_one_to_one(pda):
         body = ((tr.input,) if tr.input is not None else ()) \
             + tuple(str(s) for s in tr.push)
         assert (str(tr.pop), body) in cfg.productions
+
+
+@given(pdas())
+def test_staged_grammar_is_the_classical_one_renamed(pda):
+    renamed, direct = _classical_from_staged(pda)
+    assert renamed == direct
 
 
 @given(pdas())

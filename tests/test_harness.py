@@ -35,7 +35,7 @@ def test_all_routes_agree_on_p1(corpus):
 
 def test_a_constructed_disagreement_surfaces_at_ab(corpus):
     p1 = corpus["P1"].pda
-    empty_only = Cfg.make({"S"}, {"a", "b"}, {("S", ())}, "S")
+    empty_only = Cfg({"S"}, {"a", "b"}, {("S", ())}, "S")
     report = differential_check([("pda", p1), ("cfg", empty_only)], 2)
     assert len(report.mismatches) == 1
     assert report.mismatches[0][0] == "ab"
@@ -123,7 +123,7 @@ def test_report_arithmetic_with_inconclusive_strings(corpus):
 
 def test_report_table_shows_mismatches(corpus):
     p1 = corpus["P1"].pda
-    empty_only = Cfg.make({"S"}, {"a", "b"}, {("S", ())}, "S")
+    empty_only = Cfg({"S"}, {"a", "b"}, {("S", ())}, "S")
     table = differential_check([("pda", p1), ("cfg", empty_only)], 2).table()
     assert "mismatches:" in table
     assert "'ab'" in table

@@ -9,30 +9,30 @@ def test_corpus_p1_is_valid(corpus):
 
 
 def test_undeclared_start_state_is_one_violation():
-    pda = Pda.make({"q0"}, {"a"}, {"Z"}, set(), "q9", "Z")
+    pda = Pda({"q0"}, {"a"}, {"Z"}, set(), "q9", "Z")
     problems = validate_pda(pda)
     assert len(problems) == 1
     assert "q9" in problems[0]
 
 
 def test_undeclared_pop_symbol_is_one_violation():
-    pda = Pda.make({"q0"}, {"a"}, {"Z"},
-                   {Transition("q0", "a", "W", "q0", ())}, "q0", "Z")
+    pda = Pda({"q0"}, {"a"}, {"Z"},
+              {Transition("q0", "a", "W", "q0", ())}, "q0", "Z")
     problems = validate_pda(pda)
     assert len(problems) == 1
     assert "'W'" in problems[0]
 
 
 def test_every_component_gets_checked():
-    pda = Pda.make({"q,0"}, {"ab"}, {"Z"}, set(), "q,0", "Z")
+    pda = Pda({"q,0"}, {"ab"}, {"Z"}, set(), "q,0", "Z")
     problems = validate_pda(pda)
     assert any("state name" in p for p in problems)
     assert any("input symbol" in p for p in problems)
 
 
 def test_undeclared_push_symbol_is_reported():
-    pda = Pda.make({"q0"}, {"a"}, {"Z"},
-                   {Transition("q0", "a", "Z", "q0", ("Q",))}, "q0", "Z")
+    pda = Pda({"q0"}, {"a"}, {"Z"},
+              {Transition("q0", "a", "Z", "q0", ("Q",))}, "q0", "Z")
     assert any("pushes" in p and "'Q'" in p for p in validate_pda(pda))
 
 

@@ -27,7 +27,7 @@ PDA = ("Pda(states=frozenset({'q0'}), input_alphabet=frozenset({'a'}), "
 
 
 def _pda():
-    return Pda.make({"q0"}, {"a"}, {"Z"}, set(), "q0", "Z")
+    return Pda({"q0"}, {"a"}, {"Z"}, set(), "q0", "Z")
 
 
 # A builder per record type, called twice to get two equal values, and the
@@ -41,7 +41,7 @@ RECORDS = [
     (lambda: SingleStatePda(frozenset({"a"}), frozenset({"Zs"}), frozenset()),
      "SingleStatePda(input_alphabet=frozenset({'a'}), stack_alphabet=frozenset({'Zs'}), "
      "transitions=frozenset(), provenance=None)"),
-    (lambda: Cfg.make({"S"}, {"a"}, {("S", ("a",))}, "S"),
+    (lambda: Cfg({"S"}, {"a"}, {("S", ("a",))}, "S"),
      "Cfg(variables=frozenset({'S'}), terminals=frozenset({'a'}), "
      "productions=frozenset({('S', ('a',))}), start='S', origins=None)"),
     (lambda: Limits(7, 3), "Limits(max_configs=7, max_stack_depth=3)"),
@@ -94,8 +94,8 @@ def test_a_record_hashes_as_the_tuple_of_its_compared_fields():
 
 def test_diagnostic_maps_stay_out_of_equality_and_hashing():
     productions = {("S", ("a",))}
-    plain = Cfg.make({"S"}, {"a"}, productions, "S")
-    noted = Cfg.make({"S"}, {"a"}, productions, "S", origins={("S", ("a",)): ("x",)})
+    plain = Cfg({"S"}, {"a"}, productions, "S")
+    noted = Cfg({"S"}, {"a"}, productions, "S", origins={("S", ("a",)): ("x",)})
     assert plain == noted and hash(plain) == hash(noted)
     assert noted.origins == {("S", ("a",)): ("x",)}
 
@@ -103,7 +103,24 @@ def test_diagnostic_maps_stay_out_of_equality_and_hashing():
     plain = SingleStatePda(*parts)
     noted = SingleStatePda(*parts, provenance={"row": ("record",)})
     assert plain == noted and hash(plain) == hash(noted)
-    assert Cfg.make({"S"}, {"a"}, productions, "S") != Cfg.make({"S"}, {"a"}, set(), "S")
+    assert Cfg({"S"}, {"a"}, productions, "S") != Cfg({"S"}, {"a"}, set(), "S")
+
+
+def test_a_pda_freezes_the_sets_it_is_given():
+    move = Transition("q", "a", "Z", "q", ())
+    built = Pda(["q"], "a", {"Z"}, [move], "q", "Z")
+    frozen = Pda(frozenset({"q"}), frozenset({"a"}), frozenset({"Z"}),
+                 frozenset({move}), "q", "Z")
+    assert built == frozen and hash(built) == hash(frozen)
+    assert isinstance(built.transitions, frozenset)
+
+
+def test_a_grammar_freezes_the_sets_it_is_given():
+    built = Cfg(["S", "A"], ["a"], [("S", ("A", "a")), ("A", ())], "S")
+    frozen = Cfg(frozenset({"S", "A"}), frozenset({"a"}),
+                 frozenset({("S", ("A", "a")), ("A", ())}), "S")
+    assert built == frozen and hash(built) == hash(frozen)
+    assert isinstance(built.productions, frozenset)
 
 
 def test_records_of_different_types_are_unequal():

@@ -41,7 +41,7 @@ def _rows_of(pda, move):
 
 def test_single_symbol_push_has_exactly_one_chain():
     move = Transition("p", "a", "X", "t", ("B",))
-    pda = Pda.make({"p", "q", "t"}, {"a"}, {"X", "B"}, {move}, "p", "X")
+    pda = Pda({"p", "q", "t"}, {"a"}, {"X", "B"}, {move}, "p", "X")
     assert _rows_of(pda, move) == {
         Transition(QM, "a", Triple("p", "X", s), QM, (Triple("t", "B", s),))
         for s in ("p", "q", "t")}
@@ -49,7 +49,7 @@ def test_single_symbol_push_has_exactly_one_chain():
 
 def test_two_symbol_push_enumerates_the_intermediate_state():
     move = Transition("q0", "a", "Z", "q0", ("A", "Z"))
-    pda = Pda.make({"q0", "q1"}, {"a"}, {"Z", "A"}, {move}, "q0", "Z")
+    pda = Pda({"q0", "q1"}, {"a"}, {"Z", "A"}, {move}, "q0", "Z")
     assert _rows_of(pda, move) == {
         Transition(QM, "a", Triple("q0", "Z", outer), QM, chain)
         for outer in ("q0", "q1")
@@ -59,7 +59,7 @@ def test_two_symbol_push_enumerates_the_intermediate_state():
 
 def test_three_symbol_push_over_two_states_gives_four_chains():
     move = Transition("p", None, "X", "p", ("A", "B", "C"))
-    pda = Pda.make({"p", "q"}, set(), {"X", "A", "B", "C"}, {move}, "p", "X")
+    pda = Pda({"p", "q"}, set(), {"X", "A", "B", "C"}, {move}, "p", "X")
     rows = _rows_of(pda, move)
     assert len(rows) == 8
     chains = {tr.push for tr in rows if tr.pop == Triple("p", "X", "q")}
@@ -73,8 +73,8 @@ def test_three_symbol_push_over_two_states_gives_four_chains():
 
 
 def test_one_state_one_pop_move_gives_exactly_two_transitions():
-    p0 = Pda.make({"p"}, {"a"}, {"Z"}, {Transition("p", "a", "Z", "p", ())},
-                  "p", "Z")
+    p0 = Pda({"p"}, {"a"}, {"Z"}, {Transition("p", "a", "Z", "p", ())},
+             "p", "Z")
     sspda = to_single_state(p0)
     assert sspda.transitions == {
         Transition(QM, "a", Triple("p", "Z", "p"), QM, ()),
@@ -92,7 +92,7 @@ def test_p1_count_matches_the_hand_formula(p1):
 
 
 def test_no_moves_leaves_only_start_seeding():
-    pda = Pda.make({"p", "q"}, {"a", "b"}, {"Z"}, set(), "p", "Z")
+    pda = Pda({"p", "q"}, {"a", "b"}, {"Z"}, set(), "p", "Z")
     assert to_single_state(pda).transitions == {
         Transition(QM, None, START, QM, (Triple("p", "Z", "p"),)),
         Transition(QM, None, START, QM, (Triple("p", "Z", "q"),)),
@@ -129,7 +129,7 @@ def test_a_single_state_pda_has_the_start_attributes_of_a_pda(p1):
 
 
 def test_invalid_automata_are_refused():
-    bad = Pda.make({"p"}, {"a"}, {"Z"}, set(), "missing", "Z")
+    bad = Pda({"p"}, {"a"}, {"Z"}, set(), "missing", "Z")
     with pytest.raises(ValueError):
         to_single_state(bad)
 
@@ -157,7 +157,7 @@ def test_size_stats_on_p1(p1):
 
 
 def test_size_stats_without_moves():
-    pda = Pda.make({"p", "q"}, {"a", "b"}, {"Z"}, set(), "p", "Z")
+    pda = Pda({"p", "q"}, {"a", "b"}, {"Z"}, set(), "p", "Z")
     stats = size_stats(pda)
     assert stats.predicted_ss_transitions == 2
     assert stats.actual_ss_transitions == 2

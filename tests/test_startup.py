@@ -26,6 +26,16 @@ def _loaded_after(code: str) -> set:
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
+def test_importing_the_package_loads_no_layer():
+    loaded = _loaded_after("import pdacfg")
+    assert "pdacfg" in loaded
+    assert not {name for name in loaded if name.startswith("pdacfg.")}
+
+
+def test_dir_lists_every_public_name():
+    assert set(dir(pdacfg)) >= set(pdacfg.__all__)
+
+
 def test_importing_the_cli_loads_no_dataclasses():
     loaded = _loaded_after("import pdacfg.cli")
     assert "pdacfg.cli" in loaded

@@ -72,14 +72,14 @@ def test_render_is_idempotent_on_the_corpus():
 def test_render_ignores_construction_order():
     moves = [Transition("q0", "a", "Z", "q0", ("A", "Z")),
              Transition("q0", None, "Z", "q0", ())]
-    one = Pda.make(["q0"], ["a"], ["Z", "A"], moves, "q0", "Z")
-    other = Pda.make(["q0"], ["a"], ["A", "Z"], reversed(moves), "q0", "Z")
+    one = Pda(["q0"], ["a"], ["Z", "A"], moves, "q0", "Z")
+    other = Pda(["q0"], ["a"], ["A", "Z"], reversed(moves), "q0", "Z")
     assert one == other
     assert render(one) == render(other)
 
 
 def test_epsilon_production_renders_as_eps():
-    assert render(Cfg.make({"S"}, set(), {("S", ())}, "S")) == "S -> eps\n"
+    assert render(Cfg({"S"}, set(), {("S", ())}, "S")) == "S -> eps\n"
 
 
 def test_parse_cfg_expands_alternatives():
@@ -112,7 +112,7 @@ def test_undeclared_variable_with_explicit_header_fails():
 
 
 def test_cfg_headers_cover_unreferenced_symbols():
-    cfg = Cfg.make({"S", "Dead"}, {"a", "b"}, {("S", ("a",))}, "S")
+    cfg = Cfg({"S", "Dead"}, {"a", "b"}, {("S", ("a",))}, "S")
     text = render(cfg)
     assert "variables:" in text and "terminals:" in text
     assert parse_cfg(text) == cfg
@@ -163,8 +163,8 @@ def test_any_header_only_a_pda_has_marks_a_pda_file(header):
 
 
 def test_sspda_parser_rejects_pushing_the_start_marker():
-    pda = Pda.make({"p"}, {"a"}, {"Z"}, {Transition("p", "a", "Z", "p", ())},
-                   "p", "Z")
+    pda = Pda({"p"}, {"a"}, {"Z"}, {Transition("p", "a", "Z", "p", ())},
+              "p", "Z")
     text = render(to_single_state(pda))
     broken = text.replace("qm eps Zs -> qm [p,Z,p]", "qm eps Zs -> qm Zs")
     with pytest.raises(ParseError) as err:
