@@ -23,7 +23,6 @@ A prefix with no successors settles its whole subtree at once.
 from __future__ import annotations
 
 import itertools
-import math
 import weakref
 from collections import defaultdict, deque
 from typing import Iterator, NamedTuple, Union
@@ -293,11 +292,14 @@ def replay_configurations(m: Automaton, w: str, witness) -> list[Configuration]:
     """Apply a transition sequence strictly from the start configuration,
     returning every configuration along the way.
 
-    Raises ValueError if any move does not apply, making this an independent
-    check on witnesses rather than a re-search.
+    Raises ValueError if any move is not one of the automaton's or does not
+    apply, making this an independent check on witnesses rather than a
+    re-search.
     """
     configs = [Configuration(m.start_state, 0, (m.start_stack,))]
     for t in witness:
+        if t not in m.transitions:
+            raise ValueError(f"witness move '{t}' is not a move of the automaton")
         config = configs[-1]
         if config.state != t.from_state or not config.stack or config.stack[0] != t.pop:
             raise ValueError(f"witness move '{t}' does not apply at {config}")
@@ -437,71 +439,32 @@ def cfg_member(cfg: Cfg, w: str) -> bool:
     return _Recognizer(cfg).member(w)
 
 
-def derivable_strings(cfg: Cfg, max_len: int, max_forms: int = 1_000_000) -> set[str]:
-    """Every terminal string of length <= max_len the grammar derives,
-    computed by exhaustive breadth-first expansion of leftmost sentential
-    forms.
+def derivable_strings(cfg: Cfg, max_len: int) -> set[str]:
+    """Every terminal string of length <= max_len the grammar derives.
 
-    Pruning is exact: forms whose terminal content already exceeds the
-    bound, whose minimum remaining yield cannot fit it, or whose length
-    exceeds what any minimal derivation of a bounded string can need are
-    dropped.  Independent of the chart recognizer and used to cross-check
-    it.  Raises RuntimeError instead of answering if the form space
-    explodes; it never guesses.
+    A grammar's language is the least solution of its equations (Ginsburg
+    and Rice, 1962).  Each variable holds the strings up to ``max_len`` it
+    derives, and grows by the concatenations its bodies allow until nothing
+    grows.  A partial concatenation over the bound is dropped, which loses
+    nothing: every prefix of a yield is within the bound.  Shares no code
+    with the chart recognizer, so it cross-checks it, and always answers.
     """
-    bodies = defaultdict(list)
-    max_body = 1
-    for head, body in sorted(cfg.productions):
-        bodies[head].append(body)
-        max_body = max(max_body, len(body))
-
-    # Least number of terminals derivable per variable; inf = generates nothing.
-    min_yield: dict[str, float] = {v: math.inf for v in cfg.variables}
-    changed = True
-    while changed:
-        changed = False
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    derives: dict[str, set[str]] = defaultdict(set)
+    grew = True
+    while grew:
+        grew = False
         for head, body in cfg.productions:
-            total = 0.0
+            partial = {""}
             for sym in body:
-                total += 1 if sym in cfg.terminals else min_yield.get(sym, math.inf)
-            if total < min_yield[head]:
-                min_yield[head] = total
-                changed = True
-
-    # In a minimal leftmost derivation of a string of length <= max_len the
-    # pending suffix is bounded by tree depth times branching, and the depth
-    # by |V| distinct variables per nesting level; anything longer is
-    # derivable some shorter way.
-    cap = max_len + 2 + max(1, len(cfg.variables)) * (2 * max_len + 2) * max(1, max_body - 1)
-
-    start_form = (cfg.start,)
-    seen = {start_form}
-    queue = deque([start_form])
-    found: set[str] = set()
-    while queue:
-        form = queue.popleft()
-        leftmost = next(
-            (j for j, sym in enumerate(form) if sym in cfg.variables), None)
-        if leftmost is None:
-            found.add("".join(form))
-            continue
-        for body in bodies.get(form[leftmost], ()):
-            expanded = form[:leftmost] + body + form[leftmost + 1:]
-            if len(expanded) > cap or expanded in seen:
-                continue
-            budget = 0.0
-            for sym in expanded:
-                budget += 1 if sym in cfg.terminals else min_yield.get(sym, math.inf)
-                if budget > max_len:
-                    break
-            if budget > max_len:
-                continue
-            seen.add(expanded)
-            if len(seen) > max_forms:
-                raise RuntimeError(
-                    "sentential form search exploded; raise max_forms or shrink the grammar")
-            queue.append(expanded)
-    return found
+                parts = derives[sym] if sym in cfg.variables else {sym}
+                partial = {u + v for u in partial for v in parts
+                           if len(u) + len(v) <= max_len}
+            if not partial <= derives[head]:
+                derives[head] |= partial
+                grew = True
+    return derives[cfg.start]
 
 
 def _language(source: LanguageSource, max_len: int,

@@ -151,8 +151,8 @@ class SingleStatePda(_Record):
     symbols ``Zs`` and triples, and it answers ``states``, ``start_state``
     and ``start_stack`` as a ``Pda`` does; those are fixed, so they are class
     attributes rather than fields.  ``provenance`` maps each transition to
-    the construction records that produced it.  It is diagnostic and
-    excluded from structural equality.
+    a 1-tuple of the construction record that produced it.  It is diagnostic
+    and excluded from structural equality.
     """
 
     __slots__ = _fields = ("input_alphabet", "stack_alphabet", "transitions", "provenance")

@@ -38,10 +38,10 @@ class SizeStats(NamedTuple):
     """Size accounting for one conversion.
 
     ``predicted_ss_transitions`` is the closed-form count |Q| + sum over
-    source moves of |Q|**l (push length l; a pop move contributes 1), and it
-    always equals the raw number of generated transitions; the measured
-    ``actual_ss_transitions`` is the deduplicated count, with any merges
-    recorded in ``collision_count``.  ``ss_symbol_count`` counts declared
+    source moves of |Q|**l (push length l; a pop move contributes 1); the
+    measured ``actual_ss_transitions`` counts distinct rows, and
+    ``collision_count`` is the difference, 0 because each row spells its
+    move and chosen states.  ``ss_symbol_count`` counts declared
     symbols (all triples plus the start marker) while
     ``referenced_ss_symbol_count`` counts those actually used by transitions.
     """
@@ -68,21 +68,20 @@ def to_single_state(pda: Pda) -> SingleStatePda:
         raise ValueError("invalid automaton: " + problems[0])
     _check_budget(pda)
 
-    states = sorted(pda.states)
-    produced: dict[Transition, list[Provenance]] = {}
-    for move in sorted(pda.transitions, key=str):
-        record = Provenance(2 if move.push else 1, move)
-        for choice in itertools.product(states, repeat=len(move.push)):
+    # A row spells its move and its chosen states, so no two records share
+    # one; each row keeps its one record as a 1-tuple.
+    provenance: dict[Transition, tuple[Provenance]] = {}
+    for move in pda.transitions:
+        record = (Provenance(2 if move.push else 1, move),)
+        for choice in itertools.product(pda.states, repeat=len(move.push)):
             links = (move.to_state, *choice)
             chain = tuple(Triple(links[i], symbol, links[i + 1])
                           for i, symbol in enumerate(move.push))
             pop = Triple(move.from_state, move.pop, links[-1])
-            row = Transition(QM, move.input, pop, QM, chain)
-            produced.setdefault(row, []).append(record)
-    seeding = Provenance(3, None)
-    for s in states:
+            provenance[Transition(QM, move.input, pop, QM, chain)] = record
+    for s in pda.states:
         row = Transition(QM, None, START, QM, (Triple(pda.start_state, pda.start_stack, s),))
-        produced.setdefault(row, []).append(seeding)
+        provenance[row] = (Provenance(3, None),)
 
     symbols = {START} | {
         Triple(p, base, q)
@@ -90,8 +89,8 @@ def to_single_state(pda: Pda) -> SingleStatePda:
     return SingleStatePda(
         input_alphabet=pda.input_alphabet,
         stack_alphabet=frozenset(symbols),
-        transitions=frozenset(produced),
-        provenance={tr: tuple(records) for tr, records in produced.items()},
+        transitions=frozenset(provenance),
+        provenance=provenance,
     )
 
 
@@ -119,7 +118,7 @@ def _check_budget(pda: Pda) -> None:
 def size_stats(pda: Pda) -> SizeStats:
     """Run the construction and collect its size accounting."""
     sspda = to_single_state(pda)
-    generated = sum(len(records) for records in sspda.provenance.values())
+    predicted = predicted_transition_count(pda)
     referenced = set()
     for t in sspda.transitions:
         referenced.add(t.pop)
@@ -133,7 +132,7 @@ def size_stats(pda: Pda) -> SizeStats:
         triple_count=triple_count,
         ss_symbol_count=triple_count + 1,
         referenced_ss_symbol_count=len(referenced),
-        predicted_ss_transitions=predicted_transition_count(pda),
+        predicted_ss_transitions=predicted,
         actual_ss_transitions=len(sspda.transitions),
-        collision_count=generated - len(sspda.transitions),
+        collision_count=predicted - len(sspda.transitions),
     )

@@ -137,7 +137,8 @@ def test_criterion_6_recognizer_against_the_derivation_oracle():
         recognizer = _Recognizer(cfg)
         for w in strings_up_to(cfg.terminals, 5):
             assert recognizer.member(w) == (w in expected), (seed, w)
-    _ok(6, "Earley matches the sentential-form oracle on 50 random grammars at length 5")
+    _ok(6, "Earley matches the least-fixpoint oracle, which always answers, "
+           "on 50 random grammars at length 5")
 
 
 def test_criterion_7_witness_replay(corpus, random_suite):

@@ -2,7 +2,7 @@ import weakref
 from collections import Counter, deque
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 
 from pdacfg import (
     DEFAULT_LIMITS,
@@ -101,6 +101,15 @@ def test_tampered_witness_is_refused(p1):
         replay_configurations(p1, "ab", witness)
 
 
+def test_foreign_witness_move_is_refused(p1):
+    # q0 a Z -> q0 eps would consume "a" and empty the stack, but P1 has no
+    # such move and rejects "a".
+    foreign = Transition("q0", "a", "Z", "q0", ())
+    assert foreign not in p1.transitions and accepts(p1, "a").is_rejected
+    with pytest.raises(ValueError, match="not a move of the automaton"):
+        replay_configurations(p1, "a", (foreign,))
+
+
 def test_rejection_is_stable_under_doubled_limits():
     doubled = Limits(DEFAULT_LIMITS.max_configs * 2,
                      DEFAULT_LIMITS.max_stack_depth * 2)
@@ -154,15 +163,26 @@ def test_oracle_survives_nullable_self_concatenation():
     cfg = Cfg({"S"}, {"a"},
               {("S", ("S", "S")), ("S", ()), ("S", ("a",))}, "S")
     assert derivable_strings(cfg, 3) == {"", "a", "aa", "aaa"}
+    # S -> eps | S S | S a S: nullable, so its sentential forms grow unboundedly.
+    cfg = Cfg({"S"}, {"1", "a"},
+              {("S", ()), ("S", ("S", "S")), ("S", ("S", "a", "S"))}, "S")
+    assert derivable_strings(cfg, 4) == {"", "a", "aa", "aaa", "aaaa"}
+    # B -> eps | A A B, A -> eps | B: mutually nullable, with growing forms too.
+    cfg = Cfg({"A", "B"}, set(),
+              {("A", ()), ("A", ("B",)), ("B", ()), ("B", ("A", "A", "B"))}, "B")
+    assert derivable_strings(cfg, 4) == {""}
+
+
+def test_oracle_refuses_a_negative_bound():
+    cfg = Cfg({"S"}, {"a"}, {("S", ("a",))}, "S")
+    with pytest.raises(ValueError):
+        derivable_strings(cfg, -1)
 
 
 @given(cfgs())
 @settings(max_examples=30)
 def test_recognizer_matches_the_derivation_oracle(cfg):
-    try:
-        expected = derivable_strings(cfg, 4, max_forms=200_000)
-    except RuntimeError:
-        assume(False)  # oracle refused to answer; it never guesses
+    expected = derivable_strings(cfg, 4)
     for w in strings_up_to(cfg.terminals, 4):
         assert cfg_member(cfg, w) == (w in expected)
     assert enumerate_language(cfg, 4) == (expected, True)
@@ -185,6 +205,7 @@ def test_walk_matches_a_member_loop_on_the_corpus_grammars(corpus):
         for kind, cfg in _grammars(entry.pda).items():
             walked = engine._Recognizer(cfg).language(8)
             assert walked == _member_loop(cfg, 8), (entry.name, kind)
+            assert derivable_strings(cfg, 8) == walked, (entry.name, kind)
             known = {w for w in walked if len(w) <= entry.sample_max_len}
             assert known == entry.expected_members, (entry.name, kind)
 
