@@ -73,8 +73,8 @@ def test_criterion_1_corpus_language_equality(corpus):
 def test_criterion_2_count_formulas(random_suite):
     for seed, pda, sspda, cfg, _ in random_suite:
         stats = size_stats(pda)
-        assert stats.predicted_ss_transitions == (
-            stats.actual_ss_transitions + stats.collision_count), seed
+        assert stats.predicted_ss_transitions == stats.actual_ss_transitions, seed
+        assert stats.collision_count == 0, seed
         assert len(cfg.productions) == len(sspda.transitions), seed
     _ok(2, "transition count formula and production bijection on 100 random automata")
 

@@ -164,8 +164,8 @@ def test_random_pda_is_deterministic_and_valid():
 def test_random_pda_counts_decompose():
     for seed in range(1, 31):
         stats = size_stats(random_pda(seed))
-        assert stats.predicted_ss_transitions == (
-            stats.actual_ss_transitions + stats.collision_count)
+        assert stats.predicted_ss_transitions == stats.actual_ss_transitions
+        assert stats.collision_count == 0
 
 
 def test_random_cfg_is_deterministic_and_well_formed():

@@ -237,5 +237,5 @@ def test_start_marker_only_pops_in_rule3(pda):
 @given(pdas())
 def test_predicted_count_decomposes_into_actual_plus_collisions(pda):
     stats = size_stats(pda)
-    assert stats.predicted_ss_transitions == (
-        stats.actual_ss_transitions + stats.collision_count)
+    assert stats.predicted_ss_transitions == stats.actual_ss_transitions
+    assert stats.collision_count == 0
