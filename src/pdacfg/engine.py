@@ -13,7 +13,11 @@ grammar or an automaton (enumeration, differential checks) walk the
 string trie depth first, so strings share the work of their common
 prefixes: a grammar gets one chart column per prefix, and an automaton one
 set of configurations per prefix, the set the search reaches at that input
-position.  The automaton walk gives exactly the verdict kinds of per-string
+position.  The grammar walk does only work that can change an answer: the
+recognizer drops every rule that can never complete when it is built, and
+the last column of a walk predicts nothing, since nothing predicted there
+can complete except empty, which the nullable advance already covers.  The
+automaton walk gives exactly the verdict kinds of per-string
 searches: while the configurations along a path stay within the budget,
 a string is decided from them and from whether any tried move was pruned;
 once they exceed it, every string under that prefix gets its own search.
@@ -313,6 +317,23 @@ def replay_configurations(m: Automaton, w: str, witness) -> list[Configuration]:
     return configs
 
 
+def _heads_derived_from(productions, given: frozenset) -> frozenset:
+    """The least set of variables holding every head whose body's symbols
+    are all in it or in ``given``: with the terminals given, the variables
+    that derive some terminal string; with nothing given, the nullable
+    ones."""
+    derived: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for head, body in productions:
+            if head not in derived and all(sym in derived or sym in given
+                                           for sym in body):
+                derived.add(head)
+                grew = True
+    return frozenset(derived)
+
+
 class _Recognizer:
     """Earley chart recognizer over one grammar, read one column at a time.
 
@@ -324,7 +345,10 @@ class _Recognizer:
     column k's ``c`` entry.  Epsilon follows Aycock and Horspool, "Practical
     Earley Parsing" (2002): nullable variables are computed once, and an
     item waiting on one is advanced past it as soon as it is filed, so an
-    empty completion never needs to revisit its own column.
+    empty completion never needs to revisit its own column.  A rule whose
+    body holds a variable that derives no terminal string can never
+    complete, so it is dropped when the recognizer is built; unreachable
+    rules need no such step, since they are never predicted.
 
     ``member`` walks the builder along one string; ``language`` walks it
     depth first over every string up to a length, one column per prefix,
@@ -333,16 +357,11 @@ class _Recognizer:
 
     def __init__(self, cfg: Cfg):
         self.cfg = cfg
-        productions = sorted(cfg.productions)
-        nullable: set[str] = set()
-        grew = True
-        while grew:
-            grew = False
-            for head, body in productions:
-                if head not in nullable and all(sym in nullable for sym in body):
-                    nullable.add(head)
-                    grew = True
-        self.nullable = frozenset(nullable)
+        productive = _heads_derived_from(cfg.productions, cfg.terminals)
+        productions = sorted((head, body) for head, body in cfg.productions
+                             if all(sym in productive or sym in cfg.terminals
+                                    for sym in body))
+        self.nullable = _heads_derived_from(productions, frozenset())
         # Per dotted rule: the symbol after the dot (None when complete) and
         # the production's head; per variable: its rules with the dot first.
         self.next_symbol: list = []
@@ -356,13 +375,20 @@ class _Recognizer:
         self.predict = {v: tuple(rules) for v, rules in predict.items()}
         self.seeds = [(rule, 0) for rule in self.predict.get(cfg.start, ())]
 
-    def _column(self, seeds, columns: list[dict]) -> tuple[dict, bool]:
+    def _column(self, seeds, columns: list[dict], last: bool) -> tuple[dict, bool]:
         """Close column ``len(columns)`` from its seed items, given the
         finished columns before it.  Returns the column's items filed by
         the symbol they wait on, and whether the start variable completed
-        over the whole prefix."""
+        over the whole prefix.
+
+        The ``last`` column of a walk predicts nothing.  An item predicted
+        there has origin k, so it could complete only empty, and the
+        nullable advance already moves every item waiting on a nullable
+        variable past it.  Column 0 is no exception: its seeds are the
+        start variable's own rules, so advancing them decides ``""``."""
         k = len(columns)
-        next_symbol, heads, predict = self.next_symbol, self.heads, self.predict
+        next_symbol, heads = self.next_symbol, self.heads
+        predict = {} if last else self.predict
         nullable, variables, start = self.nullable, self.cfg.variables, self.cfg.start
         seen = set()
         waiting: dict = {}
@@ -403,12 +429,12 @@ class _Recognizer:
         columns: list[dict] = []
         seeds = self.seeds
         for ch in w:
-            waiting, _ = self._column(seeds, columns)
+            waiting, _ = self._column(seeds, columns, False)
             columns.append(waiting)
             seeds = [(rule + 1, origin) for rule, origin in waiting.get(ch, ())]
             if not seeds:
                 return False
-        return self._column(seeds, columns)[1]
+        return self._column(seeds, columns, True)[1]
 
     def language(self, max_len: int) -> set[str]:
         """Every string of length <= max_len the grammar derives."""
@@ -419,10 +445,11 @@ class _Recognizer:
         while pending:
             prefix, seeds = pending.pop()
             del columns[len(prefix):]
-            waiting, accepting = self._column(seeds, columns)
+            last = len(prefix) == max_len
+            waiting, accepting = self._column(seeds, columns, last)
             if accepting:
                 members.add(prefix)
-            if len(prefix) == max_len:
+            if last:
                 continue
             columns.append(waiting)
             for ch in letters:

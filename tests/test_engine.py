@@ -235,8 +235,8 @@ def test_walk_skips_every_prefix_no_member_extends(corpus, monkeypatch):
     built = []
     column = engine._Recognizer._column
     monkeypatch.setattr(engine._Recognizer, "_column",
-                        lambda self, seeds, columns:
-                        built.append(len(columns)) or column(self, seeds, columns))
+                        lambda self, seeds, columns, last:
+                        built.append(len(columns)) or column(self, seeds, columns, last))
     for kind, cfg in _grammars(corpus["P1"].pda).items():
         built.clear()
         members, _ = enumerate_language(cfg, 12)
@@ -244,6 +244,37 @@ def test_walk_skips_every_prefix_no_member_extends(corpus, monkeypatch):
         # One column per prefix a^i b^j with j <= i and i + j <= 12: 49.
         assert Counter(built) == {n: n // 2 + 1 for n in range(13)}, kind
         assert len(built) == 49, kind
+
+
+@pytest.mark.parametrize("productions, language", [
+    ({("S", ("A",)), ("A", ())}, {""}),
+    ({("S", ("A",)), ("A", ("a",))}, set()),
+])
+def test_a_last_column_0_decides_the_empty_string_without_predicting(
+        productions, language):
+    cfg = Cfg({"S", "A"}, {"a"}, productions, "S")
+    assert enumerate_language(cfg, 0) == (language, True)
+    assert cfg_member(cfg, "") == ("" in language)
+
+
+def test_rules_that_never_complete_are_dropped():
+    kept = {("S", ("a",))}
+    never = {("S", ("a", "X")), ("X", ("b", "X"))}
+    cfg = Cfg({"S", "X"}, {"a", "b"}, kept | never, "S")
+    trimmed = Cfg({"S"}, {"a", "b"}, kept, "S")
+    assert enumerate_language(cfg, 4) == enumerate_language(trimmed, 4) == ({"a"}, True)
+    recognizer = engine._Recognizer(cfg)
+    # Only the dotted rules S -> . a and S -> a . are left.
+    assert recognizer.next_symbol == ["a", None]
+    assert recognizer.heads == ["S", "S"]
+
+
+@given(cfgs())
+@settings(max_examples=40)
+def test_pruning_a_grammar_leaves_its_walk_unchanged(cfg):
+    walked = engine._Recognizer(cfg).language(5)
+    assert walked == engine._Recognizer(prune_useless(cfg)).language(5)
+    assert walked == derivable_strings(cfg, 5)
 
 
 def test_enumerate_epsilon_grammar():

@@ -16,13 +16,17 @@ from pdacfg.cli import main
 SRC = str(Path(pdacfg.__file__).resolve().parent.parent)
 
 
-def _loaded_after(code: str) -> set:
-    """The modules loaded in a fresh interpreter after running ``code``."""
+def _python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this source tree."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60, check=check)
+
+
+def _loaded_after(code: str) -> set:
+    """The modules loaded in a fresh interpreter after running ``code``."""
+    done = _python("-c", code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))")
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
@@ -56,3 +60,11 @@ def test_query_commands_load_no_conversion_or_harness(tmp_path, argv):
         f"from pdacfg import cli\nassert cli.main({argv!r}) == 0")
     assert "pdacfg.engine" in loaded
     assert not loaded & {"pdacfg.harness", "pdacfg.grammar", "pdacfg.singlestate"}
+
+
+def test_running_the_cli_module_runs_its_command(tmp_path):
+    done = _python("-m", "pdacfg.cli", "stats", str(tmp_path / "missing.pda"),
+                   check=False)
+    assert done.returncode == 65
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:")
