@@ -151,6 +151,8 @@ def _cmd_convert(args) -> int:
 
     if args.stage == "sspda" and (args.prune or args.classical):
         raise _UsageError("--prune and --classical apply only to --stage cfg")
+    if args.output == "":
+        raise _UsageError("-o/--output needs a file name")
     pda = _load(args.input, "a multistate PDA", Pda)
     if args.stage == "sspda":
         payload = render(to_single_state(pda), verbose=args.verbose)

@@ -5,15 +5,17 @@ and answers Accepted, Rejected, or Inconclusive; the search never lies, it
 forfeits Rejected the moment a limit prunes anything.  Each automaton's
 transitions are indexed once, at its first query, with states and stack
 symbols interned to ints; the index is cached for as long as the automaton
-lives, so repeated queries pay only for the search.  Grammar membership
-uses an Earley chart recognizer that handles epsilon productions, unit
+lives, so repeated queries pay only for the search.  Grammar questions
+go to an Earley chart recognizer that handles epsilon productions, unit
 cycles, and left recursion natively and always terminates, so exact
-questions are best routed through grammars.  Bounded questions about a
-grammar or an automaton (enumeration, differential checks) walk the
-string trie depth first, so strings share the work of their common
-prefixes: a grammar gets one chart column per prefix, and an automaton one
-set of configurations per prefix, the set the search reaches at that input
-position.  The grammar walk does only work that can change an answer: the
+questions are best routed through grammars.  Grammar membership and
+bounded questions about a grammar or an automaton (enumeration,
+differential checks) walk the string trie depth first, so strings share
+the work of their common prefixes: a grammar gets one chart column per
+prefix, and an automaton one set of configurations per prefix, the set the
+search reaches at that input position.  A grammar has one walk; a
+membership query walks the single path its string spells.  The grammar
+walk does only work that can change an answer: the
 recognizer drops every rule that can never complete when it is built, and
 the last column of a walk predicts nothing, since nothing predicted there
 can complete except empty, which the nullable advance already covers.  The
@@ -334,6 +336,14 @@ def _heads_derived_from(productions, given: frozenset) -> frozenset:
     return frozenset(derived)
 
 
+def _generating_rules(cfg: Cfg) -> list:
+    """The productions whose bodies hold only terminals and variables that
+    derive some terminal string: the rules that can ever complete."""
+    generating = _heads_derived_from(cfg.productions, cfg.terminals)
+    return [(head, body) for head, body in cfg.productions
+            if all(sym in generating or sym in cfg.terminals for sym in body)]
+
+
 class _Recognizer:
     """Earley chart recognizer over one grammar, read one column at a time.
 
@@ -350,17 +360,15 @@ class _Recognizer:
     complete, so it is dropped when the recognizer is built; unreachable
     rules need no such step, since they are never predicted.
 
-    ``member`` walks the builder along one string; ``language`` walks it
-    depth first over every string up to a length, one column per prefix,
-    and skips the subtree under any prefix whose seed set is empty.
+    ``_walk`` is the one driver of ``_column``: it builds one column per
+    prefix, depth first, offering at each depth the letters it is given.
+    ``member`` gives it one letter per depth, so it builds the columns of
+    one path; ``language`` gives it every terminal at every depth.
     """
 
     def __init__(self, cfg: Cfg):
         self.cfg = cfg
-        productive = _heads_derived_from(cfg.productions, cfg.terminals)
-        productions = sorted((head, body) for head, body in cfg.productions
-                             if all(sym in productive or sym in cfg.terminals
-                                    for sym in body))
+        productions = sorted(_generating_rules(cfg))
         self.nullable = _heads_derived_from(productions, frozenset())
         # Per dotted rule: the symbol after the dot (None when complete) and
         # the production's head; per variable: its rules with the dot first.
@@ -422,43 +430,43 @@ class _Recognizer:
                 agenda.append((rule + 1, origin))
         return waiting, accepting
 
-    def member(self, w: str) -> bool:
-        for ch in w:
-            if ch not in self.cfg.terminals:
-                raise ValueError(f"character {ch!r} is not a terminal")
-        columns: list[dict] = []
-        seeds = self.seeds
-        for ch in w:
-            waiting, _ = self._column(seeds, columns, False)
-            columns.append(waiting)
-            seeds = [(rule + 1, origin) for rule, origin in waiting.get(ch, ())]
-            if not seeds:
-                return False
-        return self._column(seeds, columns, True)[1]
+    def _walk(self, letters: list) -> set[str]:
+        """The strings the grammar derives among those whose k-th letter is
+        one of ``letters[k]``, up to ``len(letters)`` long.
 
-    def language(self, max_len: int) -> set[str]:
-        """Every string of length <= max_len the grammar derives."""
-        letters = sorted(self.cfg.terminals, reverse=True)  # popped in sorted order
+        Depth first over the string trie, one column per prefix; a prefix
+        whose next seed set is empty has no member below it, so its
+        subtree is skipped."""
         members: set[str] = set()
         columns: list[dict] = []
         pending = [("", self.seeds)]
         while pending:
             prefix, seeds = pending.pop()
-            del columns[len(prefix):]
-            last = len(prefix) == max_len
+            depth = len(prefix)
+            del columns[depth:]
+            last = depth == len(letters)
             waiting, accepting = self._column(seeds, columns, last)
             if accepting:
                 members.add(prefix)
             if last:
                 continue
             columns.append(waiting)
-            for ch in letters:
+            for ch in letters[depth]:
                 scanned = waiting.get(ch)
-                # No seeds: no extension of prefix + ch is a member either.
                 if scanned:
                     pending.append((prefix + ch, [(rule + 1, origin)
                                                   for rule, origin in scanned]))
         return members
+
+    def member(self, w: str) -> bool:
+        for ch in w:
+            if ch not in self.cfg.terminals:
+                raise ValueError(f"character {ch!r} is not a terminal")
+        return w in self._walk([(ch,) for ch in w])
+
+    def language(self, max_len: int) -> set[str]:
+        """Every string of length <= max_len the grammar derives."""
+        return self._walk([sorted(self.cfg.terminals)] * max_len)
 
 
 def cfg_member(cfg: Cfg, w: str) -> bool:
@@ -501,6 +509,8 @@ def _language(source: LanguageSource, max_len: int,
     one exact walk of its string trie, so none is inconclusive; an
     automaton's from one walk of the bounded simulator over the trie, with
     the verdicts per-string searches would give."""
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
     if isinstance(source, Cfg):
         return _Recognizer(source).language(max_len), set()
     return _simulate_language(source, max_len, limits)
@@ -526,7 +536,5 @@ def enumerate_language(source: LanguageSource, max_len: int,
     strings are excluded rather than guessed at).  Grammars are always
     complete; automata are walked by the bounded simulator.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
     accepted, inconclusive = _language(source, max_len, limits)
     return accepted, not inconclusive

@@ -12,8 +12,9 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 
-from .model import Cfg, Pda, Production, SingleStatePda, START, validate_pda
-from .singlestate import _check_budget, to_single_state
+from .engine import _generating_rules, _heads_derived_from
+from .model import Cfg, Pda, Production, SingleStatePda, START
+from .singlestate import _check_convertible, to_single_state
 
 
 def sspda_to_cfg(sspda: SingleStatePda) -> Cfg:
@@ -48,10 +49,7 @@ def classical_pda_to_cfg(pda: Pda) -> Cfg:
     input symbol, in which case ``S0`` (terminals are single characters, so
     no further clash is possible).
     """
-    problems = validate_pda(pda)
-    if problems:
-        raise ValueError("invalid automaton: " + problems[0])
-    _check_budget(pda)
+    _check_convertible(pda)
     start = "S" if "S" not in pda.input_alphabet else "S0"
     states = sorted(pda.states)
 
@@ -81,17 +79,7 @@ def classical_pda_to_cfg(pda: Pda) -> Cfg:
 
 def generating_variables(cfg: Cfg) -> frozenset[str]:
     """Variables that derive at least one terminal string (least fixpoint)."""
-    gen: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, body in cfg.productions:
-            if head in gen:
-                continue
-            if all(sym in cfg.terminals or sym in gen for sym in body):
-                gen.add(head)
-                changed = True
-    return frozenset(gen)
+    return _heads_derived_from(cfg.productions, cfg.terminals)
 
 
 def reachable_symbols(cfg: Cfg) -> frozenset[str]:
@@ -118,12 +106,8 @@ def prune_useless(cfg: Cfg) -> Cfg:
     variable survives even when useless, leaving a grammar for the empty
     language.  The terminal alphabet is kept whole, so the pruned grammar
     answers questions over the same letters as the original."""
-    gen = generating_variables(cfg)
-    kept = {
-        (head, body)
-        for head, body in cfg.productions
-        if head in gen and all(sym in cfg.terminals or sym in gen for sym in body)
-    }
+    kept = _generating_rules(cfg)
+    gen = {head for head, _ in kept}
     reached = reachable_symbols(Cfg(gen | {cfg.start}, cfg.terminals, kept, cfg.start))
     productions = frozenset((h, b) for h, b in kept if h in reached)
     origins = None

@@ -85,8 +85,6 @@ def differential_check(sources: Sequence[tuple[str, LanguageSource]], max_len: i
     over the first source's alphabet, which every source must share."""
     if len(sources) < 2:
         raise ValueError("need at least two sources to compare")
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
     alpha = _source_alphabet(sources[0][1])
     for label, source in sources[1:]:
         if _source_alphabet(source) != alpha:

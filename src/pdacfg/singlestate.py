@@ -63,10 +63,7 @@ def to_single_state(pda: Pda) -> SingleStatePda:
     The stack alphabet is declared in full: every triple over states and
     stack symbols plus the start marker, whether or not a transition uses it.
     """
-    problems = validate_pda(pda)
-    if problems:
-        raise ValueError("invalid automaton: " + problems[0])
-    _check_budget(pda)
+    _check_convertible(pda)
 
     # A row spells its move and its chosen states, so no two records share
     # one; each row keeps its one record as a 1-tuple.
@@ -106,9 +103,13 @@ def predicted_transition_count(pda: Pda) -> int:
 _TRANSITION_BUDGET = 250_000
 
 
-def _check_budget(pda: Pda) -> None:
-    """Raise ValueError if converting ``pda`` would build more rows than
-    ``_TRANSITION_BUDGET``; shared by the staged and classical routes."""
+def _check_convertible(pda: Pda) -> None:
+    """Raise ValueError if ``pda`` is ill formed or converting it would
+    build more rows than ``_TRANSITION_BUDGET``; shared by the staged and
+    classical routes."""
+    problems = validate_pda(pda)
+    if problems:
+        raise ValueError("invalid automaton: " + problems[0])
     rows = predicted_transition_count(pda)
     if rows > _TRANSITION_BUDGET:
         raise ValueError(f"conversion would build {rows} rows, "

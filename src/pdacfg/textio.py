@@ -231,6 +231,13 @@ def _infers_variable(tok: str) -> bool:
     return parse_ss_symbol(tok) is not None or len(tok) > 1
 
 
+def _inferred_variables(productions) -> set[str]:
+    """The variables of a file with no ``variables:`` header: the heads,
+    and every body token ``_infers_variable`` calls a variable."""
+    return {head for head, _ in productions} | {
+        tok for _, body in productions for tok in body if _infers_variable(tok)}
+
+
 def parse_cfg(text: str) -> Cfg:
     """Parse the grammar file format, expanding ``|`` alternatives.
 
@@ -281,11 +288,7 @@ def parse_cfg(text: str) -> Cfg:
     if declared_vars is not None:
         variables = set(declared_vars)
     else:
-        variables = {head for _, head, _ in raw_prods}
-        for _, _, body in raw_prods:
-            for tok in body:
-                if _infers_variable(tok):
-                    variables.add(tok)
+        variables = _inferred_variables([(head, body) for _, head, body in raw_prods])
 
     if "start" in headers:
         lineno, start = _single_header_token(headers, "start")
@@ -366,11 +369,7 @@ def _render_cfg(cfg: Cfg, verbose: bool) -> str:
 
     # Emit a header only when a parser could not infer that set from the
     # production lines alone.
-    vars_inferred = set(heads)
-    for _, body in cfg.productions:
-        for tok in body:
-            if _infers_variable(tok):
-                vars_inferred.add(tok)
+    vars_inferred = _inferred_variables(cfg.productions)
     terms_inferred = {
         tok for _, body in cfg.productions for tok in body if tok not in vars_inferred}
 

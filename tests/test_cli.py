@@ -159,6 +159,14 @@ def test_flag_conflicts_are_usage_errors(p1_file, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["-o", ""], ["--output=", "--stage", "sspda"]])
+def test_an_empty_output_path_is_a_usage_error(p1_file, capsys, flags):
+    assert main(["convert", p1_file, *flags]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: -o/--output needs a file name\n"
+
+
 def test_parse_error_exits_65_with_empty_stdout(tmp_path, capsys):
     bad = tmp_path / "bad.pda"
     bad.write_text(P1_TEXT.replace("q1 eps Z -> q1 eps", "q1 eps Z -> q9 eps"))

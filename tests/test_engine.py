@@ -246,6 +246,27 @@ def test_walk_skips_every_prefix_no_member_extends(corpus, monkeypatch):
         assert len(built) == 49, kind
 
 
+@pytest.mark.parametrize("name, w, member, columns", [
+    ("P3", "abba", True, 5),
+    ("P3", "", True, 1),
+    ("P3", "abbaab", False, 7),
+    # Every prefix of a palindrome extends to one, so P3 never stops early;
+    # P1 does, once a prefix leaves a* b*.
+    ("P1", "aabb", True, 5),
+    ("P1", "abab", False, 3),
+    ("P1", "ba", False, 1),
+])
+def test_member_builds_the_columns_of_one_path(corpus, monkeypatch, name, w, member,
+                                               columns):
+    built = []
+    column = engine._Recognizer._column
+    monkeypatch.setattr(engine._Recognizer, "_column",
+                        lambda self, seeds, done, last:
+                        built.append(len(done)) or column(self, seeds, done, last))
+    assert cfg_member(pda_to_cfg(corpus[name].pda), w) == member
+    assert built == list(range(columns))
+
+
 @pytest.mark.parametrize("productions, language", [
     ({("S", ("A",)), ("A", ())}, {""}),
     ({("S", ("A",)), ("A", ("a",))}, set()),

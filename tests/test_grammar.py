@@ -92,19 +92,23 @@ def test_routes_agree_on_p1_at_length_eight():
     assert staged == direct == {"a" * n + "b" * n for n in range(5)}
 
 
+def _renamed_start(staged, start):
+    """The staged grammar with its start variable ``Zs`` renamed to
+    ``start``."""
+    def rename(sym):
+        return start if sym == START else sym
+
+    return Cfg({rename(v) for v in staged.variables}, staged.terminals,
+               {(rename(head), tuple(map(rename, body)))
+                for head, body in staged.productions},
+               start)
+
+
 def _classical_from_staged(pda):
     """The staged grammar with its start variable ``Zs`` renamed to the
     classical route's start, and the classical grammar itself."""
     staged, direct = pda_to_cfg(pda), classical_pda_to_cfg(pda)
-
-    def rename(sym):
-        return direct.start if sym == START else sym
-
-    renamed = Cfg({rename(v) for v in staged.variables}, staged.terminals,
-                  {(rename(head), tuple(map(rename, body)))
-                   for head, body in staged.productions},
-                  direct.start)
-    return renamed, direct
+    return _renamed_start(staged, direct.start), direct
 
 
 def test_staged_and_classical_grammars_are_equal_up_to_the_start():
