@@ -4,7 +4,10 @@ A multistate PDA accepting by empty stack is collapsed to a single-state PDA
 over triple stack symbols, and the grammar is read off one production per
 transition.  A direct one-step construction, a bounded simulator, and an
 Earley recognizer provide independent routes to the same language, and the
-harness compares them exhaustively on all strings up to a length bound.
+harness compares them exhaustively on all strings up to a length bound.  A
+grammar's bounded language is enumerated as the least fixpoint of its
+equations, and the Earley recognizer answers membership one string at a
+time, so each cross-checks the other.
 """
 
 import importlib

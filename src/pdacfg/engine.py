@@ -5,25 +5,27 @@ and answers Accepted, Rejected, or Inconclusive; the search never lies, it
 forfeits Rejected the moment a limit prunes anything.  Each automaton's
 transitions are indexed once, at its first query, with states and stack
 symbols interned to ints; the index is cached for as long as the automaton
-lives, so repeated queries pay only for the search.  Grammar questions
-go to an Earley chart recognizer that handles epsilon productions, unit
+lives, so repeated queries pay only for the search.  Grammar membership
+goes to an Earley chart recognizer that handles epsilon productions, unit
 cycles, and left recursion natively and always terminates, so exact
-questions are best routed through grammars.  Grammar membership and
-bounded questions about a grammar or an automaton (enumeration,
-differential checks) walk the string trie depth first, so strings share
-the work of their common prefixes: a grammar gets one chart column per
-prefix, and an automaton one set of configurations per prefix, the set the
-search reaches at that input position.  A grammar has one walk; a
-membership query walks the single path its string spells.  The grammar
-walk does only work that can change an answer: the
-recognizer drops every rule that can never complete when it is built, and
-the last column of a walk predicts nothing, since nothing predicted there
-can complete except empty, which the nullable advance already covers.  The
-automaton walk gives exactly the verdict kinds of per-string
-searches: while the configurations along a path stay within the budget,
-a string is decided from them and from whether any tried move was pruned;
-once they exceed it, every string under that prefix gets its own search.
-A prefix with no successors settles its whole subtree at once.
+questions are best routed through grammars.  A membership query builds the
+columns of the one path its string spells; the recognizer drops every rule
+that can never complete when it is built, and the last column predicts
+nothing, since nothing predicted there can complete except empty, which the
+nullable advance already covers.
+
+A grammar's bounded language, which enumeration and differential checks
+read, is the least solution of its equations, evaluated bottom up over
+strings bucketed by length (``derivable_strings``); it shares no code with
+the recognizer, whose ``member`` is its independent cross-check.  An
+automaton's bounded language walks the string trie depth first with one
+set of configurations per prefix, the set the search reaches at that input
+position, so strings share the work of their common prefixes.  The walk
+gives exactly the verdict kinds of per-string searches: while the
+configurations along a path stay within the budget, a string is decided
+from them and from whether any tried move was pruned; once they exceed it,
+every string under that prefix gets its own search.  A prefix with no
+successors settles its whole subtree at once.
 """
 
 from __future__ import annotations
@@ -360,10 +362,9 @@ class _Recognizer:
     complete, so it is dropped when the recognizer is built; unreachable
     rules need no such step, since they are never predicted.
 
-    ``_walk`` is the one driver of ``_column``: it builds one column per
-    prefix, depth first, offering at each depth the letters it is given.
-    ``member`` gives it one letter per depth, so it builds the columns of
-    one path; ``language`` gives it every terminal at every depth.
+    ``member`` builds the columns of its string's one path.  Bounded
+    enumeration is ``derivable_strings``, which shares no code with this
+    class, so each checks the other.
     """
 
     def __init__(self, cfg: Cfg):
@@ -389,11 +390,12 @@ class _Recognizer:
         the symbol they wait on, and whether the start variable completed
         over the whole prefix.
 
-        The ``last`` column of a walk predicts nothing.  An item predicted
-        there has origin k, so it could complete only empty, and the
-        nullable advance already moves every item waiting on a nullable
-        variable past it.  Column 0 is no exception: its seeds are the
-        start variable's own rules, so advancing them decides ``""``."""
+        The ``last`` column, the one for the whole string, predicts
+        nothing.  An item predicted there has origin k, so it could
+        complete only empty, and the nullable advance already moves every
+        item waiting on a nullable variable past it.  Column 0 is no
+        exception: its seeds are the start variable's own rules, so
+        advancing them decides ``""``."""
         k = len(columns)
         next_symbol, heads = self.next_symbol, self.heads
         predict = {} if last else self.predict
@@ -430,43 +432,22 @@ class _Recognizer:
                 agenda.append((rule + 1, origin))
         return waiting, accepting
 
-    def _walk(self, letters: list) -> set[str]:
-        """The strings the grammar derives among those whose k-th letter is
-        one of ``letters[k]``, up to ``len(letters)`` long.
-
-        Depth first over the string trie, one column per prefix; a prefix
-        whose next seed set is empty has no member below it, so its
-        subtree is skipped."""
-        members: set[str] = set()
-        columns: list[dict] = []
-        pending = [("", self.seeds)]
-        while pending:
-            prefix, seeds = pending.pop()
-            depth = len(prefix)
-            del columns[depth:]
-            last = depth == len(letters)
-            waiting, accepting = self._column(seeds, columns, last)
-            if accepting:
-                members.add(prefix)
-            if last:
-                continue
-            columns.append(waiting)
-            for ch in letters[depth]:
-                scanned = waiting.get(ch)
-                if scanned:
-                    pending.append((prefix + ch, [(rule + 1, origin)
-                                                  for rule, origin in scanned]))
-        return members
-
     def member(self, w: str) -> bool:
+        """Whether the grammar derives ``w``: one column per prefix of
+        ``w``, stopping at the first letter no item waits on."""
         for ch in w:
             if ch not in self.cfg.terminals:
                 raise ValueError(f"character {ch!r} is not a terminal")
-        return w in self._walk([(ch,) for ch in w])
-
-    def language(self, max_len: int) -> set[str]:
-        """Every string of length <= max_len the grammar derives."""
-        return self._walk([sorted(self.cfg.terminals)] * max_len)
+        columns: list[dict] = []
+        seeds = self.seeds
+        for ch in w:
+            waiting, _ = self._column(seeds, columns, False)
+            scanned = waiting.get(ch)
+            if not scanned:
+                return False
+            columns.append(waiting)
+            seeds = [(rule + 1, origin) for rule, origin in scanned]
+        return self._column(seeds, columns, True)[1]
 
 
 def cfg_member(cfg: Cfg, w: str) -> bool:
@@ -477,42 +458,145 @@ def cfg_member(cfg: Cfg, w: str) -> bool:
 def derivable_strings(cfg: Cfg, max_len: int) -> set[str]:
     """Every terminal string of length <= max_len the grammar derives.
 
-    A grammar's language is the least solution of its equations (Ginsburg
-    and Rice, 1962).  Each variable holds the strings up to ``max_len`` it
-    derives, and grows by the concatenations its bodies allow until nothing
-    grows.  A partial concatenation over the bound is dropped, which loses
-    nothing: every prefix of a yield is within the bound.  Shares no code
-    with the chart recognizer, so it cross-checks it, and always answers.
+    This is the one bounded enumerator of a grammar: ``enum``, ``check``
+    and ``differential_check`` read grammar languages from it.  A grammar's
+    language is the least solution of its equations (Ginsburg and Rice,
+    1962), computed bottom up after two small fixpoints trim the grammar.
+    The first gives each variable its least yield, the length of its
+    shortest string; a variable with none within the bound derives nothing
+    here.  The second, from the start, caps each variable it reaches at
+    ``max_len`` less the least yield of the symbols around each of its
+    uses, so a variable used only after a long fixed prefix computes no
+    strings it cannot use.  Rules the start never reaches, or that cannot
+    fit under their head's cap, are dropped.
+
+    Each variable's strings are kept in buckets by length, and bodies are
+    concatenated bucket by bucket, never forming a string longer than the
+    head's cap less the least yield of the symbols still to come.  Rounds
+    are semi-naive: a round puts the strings new since the last round at
+    one body position, the older strings at the positions before it and
+    all strings at those after it, so no tuple of strings is concatenated
+    twice; round 0 counts every letter and every empty body as new.  The
+    rounds stop when one finds nothing new.  A body symbol that is neither
+    a variable nor a terminal derives nothing.  Shares no code with the
+    chart recognizer, so Earley ``member`` cross-checks it.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    derives: dict[str, set[str]] = defaultdict(set)
+    variables, terminals = cfg.variables, cfg.terminals
+    least: dict[str, int] = {}
+
+    def body_yield(body):
+        total = 0
+        for sym in body:
+            if sym in terminals:
+                total += 1
+            elif sym in variables and sym in least:
+                total += least[sym]
+            else:
+                return None
+        return total
+
     grew = True
     while grew:
         grew = False
         for head, body in cfg.productions:
-            partial = {""}
-            for sym in body:
-                parts = derives[sym] if sym in cfg.variables else {sym}
-                partial = {u + v for u in partial for v in parts
-                           if len(u) + len(v) <= max_len}
-            if not partial <= derives[head]:
-                derives[head] |= partial
+            n = body_yield(body)
+            if n is not None and n < least.get(head, max_len + 1):
+                least[head] = n
                 grew = True
-    return derives[cfg.start]
+
+    by_head = defaultdict(list)
+    for head, body in cfg.productions:
+        need = body_yield(body)
+        if need is not None:
+            by_head[head].append((body, need))
+    cap = {cfg.start: max_len} if cfg.start in least else {}
+    agenda = list(cap)
+    while agenda:
+        head = agenda.pop()
+        for body, need in by_head[head]:
+            slack = cap[head] - need
+            if slack < 0:
+                continue
+            for sym in body:
+                if sym in variables and least[sym] + slack > cap.get(sym, -1):
+                    cap[sym] = least[sym] + slack
+                    agenda.append(sym)
+
+    # Each kept rule as its head and, per body position, the symbol and the
+    # longest concatenation up to and including it that can still be used.
+    rules = []
+    for head in cap:
+        for body, need in by_head[head]:
+            if need <= cap[head]:
+                bound, positions = cap[head] - need, []
+                for sym in body:
+                    bound += 1 if sym in terminals else least[sym]
+                    positions.append((sym, bound))
+                rules.append((head, positions))
+
+    # Strings by symbol and length: ``known`` before the last round, and
+    # ``fresh`` new in it.
+    known: dict[str, dict[int, set]] = {sym: {} for sym in (*cap, *terminals)}
+    fresh: dict[str, dict[int, set]] = {sym: {} for sym in known}
+    for sym in terminals:
+        fresh[sym][1] = {sym}
+    for head, positions in rules:
+        if not positions:
+            fresh[head][0] = {""}
+    while any(fresh.values()):
+        found: dict[str, dict[int, set]] = {head: {} for head in cap}
+        for head, positions in rules:
+            older = {0: {""}}
+            for i, (sym, bound) in enumerate(positions):
+                if fresh[sym]:
+                    joined = _concatenations(older, bound, fresh[sym])
+                    for later, later_bound in positions[i + 1:]:
+                        joined = _concatenations(joined, later_bound,
+                                                 known[later], fresh[later])
+                    for n, strings in joined.items():
+                        found[head].setdefault(n, set()).update(strings)
+                older = _concatenations(older, bound, known[sym])
+                if not older:
+                    break
+        for sym, strings_by_len in fresh.items():
+            for n, strings in strings_by_len.items():
+                known[sym].setdefault(n, set()).update(strings)
+            strings_by_len.clear()
+        for head, strings_by_len in found.items():
+            for n, strings in strings_by_len.items():
+                strings -= known[head].get(n, set())
+                if strings:
+                    fresh[head][n] = strings
+    return set().union(*known[cfg.start].values()) if cap else set()
+
+
+def _concatenations(prefixes: dict, bound: int, *parts: dict) -> dict:
+    """Every string of ``prefixes`` followed by one of some part's, up to
+    ``bound`` long; every argument and the result map a length to the
+    strings of that length."""
+    joined: dict[int, set] = {}
+    for n, heads in prefixes.items():
+        for part in parts:
+            for m, tails in part.items():
+                if n + m <= bound:
+                    joined.setdefault(n + m, set()).update(
+                        [u + v for u in heads for v in tails])
+    return joined
 
 
 def _language(source: LanguageSource, max_len: int,
               limits: Limits) -> tuple[set[str], set[str]]:
     """The strings up to ``max_len`` the source accepts, and those it is
     inconclusive on; every other string is rejected.  A grammar's come from
-    one exact walk of its string trie, so none is inconclusive; an
-    automaton's from one walk of the bounded simulator over the trie, with
-    the verdicts per-string searches would give."""
+    its exact least fixpoint, so none is inconclusive; an automaton's from
+    one walk of the bounded simulator over the string trie, with the
+    verdicts per-string searches would give."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     if isinstance(source, Cfg):
-        return _Recognizer(source).language(max_len), set()
+        return derivable_strings(source, max_len), set()
     return _simulate_language(source, max_len, limits)
 
 

@@ -90,7 +90,7 @@ def differential_check(sources: Sequence[tuple[str, LanguageSource]], max_len: i
         if _source_alphabet(source) != alpha:
             raise ValueError(f"source {label!r} does not share the alphabet")
 
-    # Timed from here: every source's language is walked up front.
+    # Timed from here: every source's language is computed up front.
     started = time.perf_counter()
     languages = [(label, *_language(source, max_len, limits)) for label, source in sources]
     agreements = 0

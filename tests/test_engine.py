@@ -1,5 +1,5 @@
 import weakref
-from collections import Counter, deque
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,7 @@ from pdacfg import (
     parse_pda,
     pda_to_cfg,
     prune_useless,
+    random_cfg,
     random_pda,
     replay_configurations,
     sspda_to_cfg,
@@ -203,17 +204,16 @@ def _member_loop(cfg, max_len):
 def test_walk_matches_a_member_loop_on_the_corpus_grammars(corpus):
     for entry in corpus.values():
         for kind, cfg in _grammars(entry.pda).items():
-            walked = engine._Recognizer(cfg).language(8)
-            assert walked == _member_loop(cfg, 8), (entry.name, kind)
-            assert derivable_strings(cfg, 8) == walked, (entry.name, kind)
-            known = {w for w in walked if len(w) <= entry.sample_max_len}
+            derived = derivable_strings(cfg, 8)
+            assert derived == _member_loop(cfg, 8), (entry.name, kind)
+            known = {w for w in derived if len(w) <= entry.sample_max_len}
             assert known == entry.expected_members, (entry.name, kind)
 
 
 @given(cfgs())
 @settings(max_examples=40)
 def test_walk_matches_a_member_loop_on_random_grammars(cfg):
-    assert engine._Recognizer(cfg).language(5) == _member_loop(cfg, 5)
+    assert derivable_strings(cfg, 6) == _member_loop(cfg, 6)
 
 
 @pytest.mark.parametrize("cfg, language", [
@@ -231,19 +231,42 @@ def test_walk_on_nullable_cycles_and_degenerate_grammars(cfg, language):
     assert enumerate_language(cfg, 4) == (language, True)
 
 
-def test_walk_skips_every_prefix_no_member_extends(corpus, monkeypatch):
-    built = []
-    column = engine._Recognizer._column
-    monkeypatch.setattr(engine._Recognizer, "_column",
-                        lambda self, seeds, columns, last:
-                        built.append(len(columns)) or column(self, seeds, columns, last))
-    for kind, cfg in _grammars(corpus["P1"].pda).items():
-        built.clear()
-        members, _ = enumerate_language(cfg, 12)
-        assert len(members) == 7, kind
-        # One column per prefix a^i b^j with j <= i and i + j <= 12: 49.
-        assert Counter(built) == {n: n // 2 + 1 for n in range(13)}, kind
-        assert len(built) == 49, kind
+def _star(*letters):
+    """``X -> X X | eps`` plus ``X -> c`` for each letter c."""
+    return {("X", ("X", "X")), ("X", ())} | {("X", (c,)) for c in letters}
+
+
+@pytest.mark.parametrize("cfg, max_len, language", [
+    (Cfg({"S"}, {"a", "b"},
+         {("S", ("S", "S")), ("S", ("a",)), ("S", ("b",)), ("S", ())}, "S"),
+     12, set(strings_up_to("ab", 12))),
+    (Cfg({"S", "X"}, {"a", "b", "c"}, {("S", ("c",) * 6 + ("X",))} | _star("a", "b"), "S"),
+     12, {"cccccc" + w for w in strings_up_to("ab", 6)}),
+    # A is unreachable from S.
+    (random_cfg(665), 10, {"b"}),
+])
+def test_the_fixpoint_on_families_that_blow_up_bottom_up(cfg, max_len, language):
+    assert derivable_strings(cfg, max_len) == language
+
+
+def test_the_fixpoint_forms_only_strings_the_start_can_use(monkeypatch):
+    formed = []
+    concatenations = engine._concatenations
+
+    def recording(prefixes, bound, *parts):
+        joined = concatenations(prefixes, bound, *parts)
+        formed.extend(w for strings in joined.values() for w in strings)
+        return joined
+
+    monkeypatch.setattr(engine, "_concatenations", recording)
+    unreachable = {("A", ("d", "A")), ("A", ("d",))}
+    cfg = Cfg({"S", "X", "A"}, {"a", "b", "c", "d"},
+              {("S", ("c",) * 6 + ("X",))} | _star("a", "b") | unreachable, "S")
+    assert derivable_strings(cfg, 12) == {"cccccc" + w for w in strings_up_to("ab", 6)}
+    # X follows six letters, so it is capped at 12 - 6 and forms every
+    # string up to that and none longer; A forms nothing.
+    assert {w for w in formed if "c" not in w} == set(strings_up_to("ab", 6))
+    assert not any("d" in w for w in formed)
 
 
 @pytest.mark.parametrize("name, w, member, columns", [
@@ -293,9 +316,9 @@ def test_rules_that_never_complete_are_dropped():
 @given(cfgs())
 @settings(max_examples=40)
 def test_pruning_a_grammar_leaves_its_walk_unchanged(cfg):
-    walked = engine._Recognizer(cfg).language(5)
-    assert walked == engine._Recognizer(prune_useless(cfg)).language(5)
-    assert walked == derivable_strings(cfg, 5)
+    pruned = prune_useless(cfg)
+    derived = derivable_strings(cfg, 5)
+    assert derived == derivable_strings(pruned, 5) == _member_loop(pruned, 5)
 
 
 def test_enumerate_epsilon_grammar():
