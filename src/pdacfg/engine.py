@@ -2,17 +2,14 @@
 
 PDA membership runs as a bounded breadth-first search over configurations
 and answers Accepted, Rejected, or Inconclusive; the search never lies, it
-forfeits Rejected the moment a limit prunes anything.  Each automaton's
-transitions are indexed once, at its first query, with states and stack
-symbols interned to ints; the index is cached for as long as the automaton
-lives, so repeated queries pay only for the search.  Grammar membership
-goes to an Earley chart recognizer that handles epsilon productions, unit
-cycles, and left recursion natively and always terminates, so exact
-questions are best routed through grammars.  A membership query builds the
-columns of the one path its string spells; the recognizer drops every rule
-that can never complete when it is built, and the last column predicts
-nothing, since nothing predicted there can complete except empty, which the
-nullable advance already covers.
+forfeits Rejected the moment a limit prunes anything.  An automaton's
+transitions are indexed once per query, with states and stack symbols
+interned to ints, and a bounded language is one query; no call leaves state
+behind.  Grammar membership goes to an Earley chart recognizer that handles
+epsilon productions, unit cycles, and left recursion natively and always
+terminates, so exact questions are best routed through grammars.  A
+membership query builds the columns of the one path its string spells; the
+recognizer drops every rule that can never complete when it is built.
 
 A grammar's bounded language, which enumeration and differential checks
 read, is the least solution of its equations, evaluated bottom up over
@@ -31,7 +28,6 @@ successors settles its whole subtree at once.
 from __future__ import annotations
 
 import itertools
-import weakref
 from collections import defaultdict, deque
 from typing import Iterator, NamedTuple, Union
 
@@ -82,18 +78,16 @@ class Verdict(NamedTuple):
 
 class _Compiled(NamedTuple):
     """An automaton's moves, indexed by state and stack symbol interned to
-    ints; both automaton kinds compile the same way.
+    ints; both automaton kinds compile the same way, once per query.
 
     ``moves[state id][top id]`` lists ``(input, push ids, to id,
     Transition)`` in ``sorted(..., key=str)`` order, the order the search
     explores moves in.  ``epsilon`` and ``reading`` split the same moves
     into ``(push ids, to id)`` and ``(input, push ids, to id)`` for the
     trie walk.  The start state and start symbol both have id 0, and the
-    other ids are needed only while compiling.  Nothing here refers back to
-    the automaton, so the cache can drop it.
+    other ids are needed only while compiling.
     """
 
-    alphabet: frozenset
     moves: list
     epsilon: list
     reading: list
@@ -117,20 +111,7 @@ def _compile(m: Automaton) -> _Compiled:
             (push, to) for inp, push, to, _ in row if inp is None)
         reading[from_id][top_id] = tuple(
             (inp, push, to) for inp, push, to, _ in row if inp is not None)
-    return _Compiled(m.input_alphabet, moves, epsilon, reading)
-
-
-# One compiled form per automaton, built at its first query.  Keys are held
-# weakly, so the index lives exactly as long as the automaton; automata that
-# compare equal share one.
-_COMPILED: "weakref.WeakKeyDictionary[Automaton, _Compiled]" = weakref.WeakKeyDictionary()
-
-
-def _compiled(m: Automaton) -> _Compiled:
-    compiled = _COMPILED.get(m)
-    if compiled is None:
-        compiled = _COMPILED[m] = _compile(m)
-    return compiled
+    return _Compiled(moves, epsilon, reading)
 
 
 def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
@@ -144,11 +125,11 @@ def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     Configurations are ``(state id, input position, stack of symbol ids)``
     tuples over the automaton's compiled index.
     """
-    alphabet, moves, _, _ = _compiled(m)
     for ch in w:
-        if ch not in alphabet:
+        if ch not in m.input_alphabet:
             raise ValueError(f"input character {ch!r} is not in the alphabet")
 
+    moves = _compile(m).moves
     n = len(w)
     max_configs = limits.max_configs
     max_depth = limits.max_stack_depth
@@ -195,16 +176,17 @@ def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     return Verdict("rejected")
 
 
-def _close(compiled: _Compiled, seeds, budget: int, max_depth: int, read: bool):
+def _close(compiled: _Compiled, seeds, budget: int, max_depth: int, letters):
     """The configurations ``accepts`` reaches at one input position.
 
     ``seeds`` are the ``(state id, stack)`` pairs the previous letter led
     to; they are closed under epsilon moves.  Returns None as soon as the
     position holds more than ``budget`` configurations.  Otherwise returns
     how many it holds, whether one has an empty stack, whether an epsilon
-    move pushed past ``max_depth``, and, when ``read`` is set, the seeds
-    each letter's reading moves lead to and the letters whose reading
-    moves pushed past ``max_depth``.
+    move pushed past ``max_depth``, the seeds each of ``letters``' reading
+    moves lead to, and the letters whose reading moves pushed past
+    ``max_depth``.  ``letters`` is empty at the last input position, where
+    nothing is read.
     """
     epsilon, reading = compiled.epsilon, compiled.reading
     configs = set(seeds)
@@ -226,13 +208,13 @@ def _close(compiled: _Compiled, seeds, budget: int, max_depth: int, read: bool):
                     return None
                 agenda.append(successor)
     # Filed only once the position is known to fit the budget.
-    successors = {ch: set() for ch in compiled.alphabet} if read else {}
+    successors = {ch: set() for ch in letters}
     overflows = set()
     accepting = False
     for state, stack in configs:
         if not stack:
             accepting = True
-        elif read:
+        elif letters:
             rest = stack[1:]
             for inp, push, to in reading[state][stack[0]]:
                 successor_stack = push + rest
@@ -258,7 +240,7 @@ def _simulate_language(m: Automaton, max_len: int,
     rejected.  Past it, the search may still accept before its budget runs
     out, so every string under that prefix is asked of ``accepts`` itself.
     """
-    compiled = _compiled(m)
+    compiled = _compile(m)
     alphabet = m.input_alphabet
     max_configs, max_depth = limits.max_configs, limits.max_stack_depth
     accepted: set[str] = set()
@@ -267,7 +249,7 @@ def _simulate_language(m: Automaton, max_len: int,
     while pending:
         prefix, seeds, explored, pruned = pending.pop()
         closed = _close(compiled, seeds, max_configs - explored, max_depth,
-                        len(prefix) < max_len)
+                        alphabet if len(prefix) < max_len else ())
         if closed is None:
             for tail in strings_up_to(alphabet, max_len - len(prefix)):
                 w = prefix + tail
@@ -384,21 +366,13 @@ class _Recognizer:
         self.predict = {v: tuple(rules) for v, rules in predict.items()}
         self.seeds = [(rule, 0) for rule in self.predict.get(cfg.start, ())]
 
-    def _column(self, seeds, columns: list[dict], last: bool) -> tuple[dict, bool]:
+    def _column(self, seeds, columns: list[dict]) -> tuple[dict, bool]:
         """Close column ``len(columns)`` from its seed items, given the
         finished columns before it.  Returns the column's items filed by
         the symbol they wait on, and whether the start variable completed
-        over the whole prefix.
-
-        The ``last`` column, the one for the whole string, predicts
-        nothing.  An item predicted there has origin k, so it could
-        complete only empty, and the nullable advance already moves every
-        item waiting on a nullable variable past it.  Column 0 is no
-        exception: its seeds are the start variable's own rules, so
-        advancing them decides ``""``."""
+        over the whole prefix."""
         k = len(columns)
-        next_symbol, heads = self.next_symbol, self.heads
-        predict = {} if last else self.predict
+        next_symbol, heads, predict = self.next_symbol, self.heads, self.predict
         nullable, variables, start = self.nullable, self.cfg.variables, self.cfg.start
         seen = set()
         waiting: dict = {}
@@ -441,13 +415,13 @@ class _Recognizer:
         columns: list[dict] = []
         seeds = self.seeds
         for ch in w:
-            waiting, _ = self._column(seeds, columns, False)
+            waiting, _ = self._column(seeds, columns)
             scanned = waiting.get(ch)
             if not scanned:
                 return False
             columns.append(waiting)
             seeds = [(rule + 1, origin) for rule, origin in scanned]
-        return self._column(seeds, columns, True)[1]
+        return self._column(seeds, columns)[1]
 
 
 def cfg_member(cfg: Cfg, w: str) -> bool:

@@ -1,10 +1,11 @@
 """Differential language checking across automata and grammar routes.
 
-A check enumerates every string over the alphabet up to a length bound and
-queries each labeled source.  Two conclusive verdicts that differ make a
-mismatch; inconclusive simulator verdicts are reported separately and never
-counted as disagreement.  The module also ships a small corpus of automata
-with known languages and seeded random generators for automata and grammars.
+A check computes each labeled source's bounded language once, then reads
+every string over the alphabet up to the length bound off those languages.
+Two conclusive verdicts that differ make a mismatch; inconclusive simulator
+verdicts are reported separately and never counted as disagreement.  The
+module also ships a small corpus of automata with known languages and seeded
+random generators for automata and grammars.
 """
 
 from __future__ import annotations

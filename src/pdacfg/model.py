@@ -10,8 +10,8 @@ equality and use as set elements work throughout.
 
 ``Transition``, ``Triple`` and ``Configuration`` are named tuples: they
 compare, hash and order as the tuples of their fields.  ``Pda``,
-``SingleStatePda`` and ``Cfg`` are ``_Record`` classes instead, because the
-simulator caches automata by weak reference and a diagnostic map
+``SingleStatePda`` and ``Cfg`` are ``_Record`` classes instead, because
+they equal only records of their own type and a diagnostic map
 (``provenance``, ``origins``) stays out of their equality.
 """
 
@@ -38,15 +38,15 @@ def is_input_symbol(ch: str) -> bool:
 
 
 class _Record:
-    """Base of the records that cannot be tuples: immutable, weakly
-    referenceable, with value equality.
+    """Base of the records that cannot be tuples: immutable, with value
+    equality.
 
     Each subclass lists its fields in ``_fields`` (and ``__slots__``), in
     constructor order, and those that equality and hashing read in
     ``_compared``.  ``repr`` shows every field.
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
     _compared: tuple[str, ...] = ()
 

@@ -1,4 +1,3 @@
-import weakref
 from collections import deque
 
 import pytest
@@ -284,8 +283,8 @@ def test_member_builds_the_columns_of_one_path(corpus, monkeypatch, name, w, mem
     built = []
     column = engine._Recognizer._column
     monkeypatch.setattr(engine._Recognizer, "_column",
-                        lambda self, seeds, done, last:
-                        built.append(len(done)) or column(self, seeds, done, last))
+                        lambda self, seeds, done:
+                        built.append(len(done)) or column(self, seeds, done))
     assert cfg_member(pda_to_cfg(corpus[name].pda), w) == member
     assert built == list(range(columns))
 
@@ -294,8 +293,7 @@ def test_member_builds_the_columns_of_one_path(corpus, monkeypatch, name, w, mem
     ({("S", ("A",)), ("A", ())}, {""}),
     ({("S", ("A",)), ("A", ("a",))}, set()),
 ])
-def test_a_last_column_0_decides_the_empty_string_without_predicting(
-        productions, language):
+def test_a_last_column_0_decides_the_empty_string(productions, language):
     cfg = Cfg({"S", "A"}, {"a"}, productions, "S")
     assert enumerate_language(cfg, 0) == (language, True)
     assert cfg_member(cfg, "") == ("" in language)
@@ -422,7 +420,6 @@ def test_simulator_matches_the_reference_on_random_automata(pda):
 
 
 def test_differential_check_compiles_each_automaton_once(corpus, monkeypatch):
-    monkeypatch.setattr(engine, "_COMPILED", weakref.WeakKeyDictionary())
     compiled = []
     compile_ = engine._compile
     monkeypatch.setattr(engine, "_compile", lambda m: compiled.append(m) or compile_(m))
@@ -434,23 +431,27 @@ def test_differential_check_compiles_each_automaton_once(corpus, monkeypatch):
     assert report.agreements == report.checked == 31
     assert len(compiled) == 2
     assert compiled[0] is p3 and compiled[1] is sspda
-    # Walks that send strings over the budget back to accepts reuse the index.
+    # A walk that sends strings over the budget back to accepts compiles
+    # once for the walk and once per search.
+    walks, searches = [], []
+    simulate, accepts_ = engine._simulate_language, engine.accepts
+    monkeypatch.setattr(engine, "_simulate_language",
+                        lambda *args: walks.append(args) or simulate(*args))
+    monkeypatch.setattr(engine, "accepts",
+                        lambda *args: searches.append(args) or accepts_(*args))
+    compiled.clear()
     for m in (p3, sspda):
         assert not enumerate_language(m, 6, Limits(40, 5))[1]
-    assert len(compiled) == 2
+    assert len(walks) == 2 and searches
+    assert len(compiled) == len(walks) + len(searches)
 
 
-def test_dropped_automata_never_hand_their_index_to_another(monkeypatch):
-    monkeypatch.setattr(engine, "_COMPILED", weakref.WeakKeyDictionary())
+def test_seeded_random_automata_match_the_reference():
     limits = Limits(200, 12)
     for seed in range(150):
         pda = random_pda(seed)
-        sspda = to_single_state(pda)
-        for m in (pda, sspda):
+        for m in (pda, to_single_state(pda)):
             _assert_matches_reference(m, 2, limits)
-            assert engine._compiled(m) == engine._compile(m)
-        del pda, sspda, m
-        assert len(engine._COMPILED) == 0
 
 
 def _per_string(m, max_len, limits):

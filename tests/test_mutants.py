@@ -7,14 +7,18 @@ of ``singlestate.py``.  Its paired form makes the same edit in
 mutant is exec'd into a fresh module object that no import can reach;
 nothing under ``src/`` is written.
 
-Two checks are measured over a fixed window, the corpus plus
+Three checks are measured over a fixed window, the corpus plus
 ``random_pda(1..60)``:
 
 - structural identity: the staged grammar equals the classical one once
   ``Zs`` is renamed.  It kills every single-route mutant, and cannot see a
   paired one, since both routes then make the same mistake;
 - the four-route sweep: ``differential_check`` of the PDA, the single-state
-  PDA and both grammars at L=4.  It kills every paired mutant.
+  PDA and both grammars at L=4.  It kills every paired mutant;
+- witness translation (``test_witnesses.py``): every accepted run at L=4,
+  mapped forward from the PDA and backward from the single-state PDA, must
+  replay on the other form.  It never reads the classical route, so it
+  treats single and paired mutants alike, and it kills every mutant.
 
 Run as a script, ``PYTHONPATH=src python tests/test_mutants.py`` prints the
 whole matrix: for each mutant and check, how many automata flag it and the
@@ -27,10 +31,11 @@ from pathlib import Path
 import pytest
 
 import pdacfg
-from pdacfg import Limits, builtin_corpus, differential_check, random_pda
+from pdacfg import Limits, differential_check
 from pdacfg.grammar import classical_pda_to_cfg, sspda_to_cfg
 from pdacfg.singlestate import to_single_state
 from test_grammar import _renamed_start
+from test_witnesses import LIMITS, MAX_LEN, translation_failures, window, witnesses
 
 SOURCES = (Path(pdacfg.__file__).parent / "singlestate.py",
            Path(pdacfg.__file__).parent / "grammar.py")
@@ -93,12 +98,6 @@ SWEEP_LEN = 4
 SWEEP_LIMITS = Limits(5000, 48)
 
 
-def _window():
-    """The automata every mutant is tried on, in a fixed order."""
-    return ([(entry.name, entry.pda) for entry in builtin_corpus()]
-            + [(f"r{seed}", random_pda(seed)) for seed in range(1, 61)])
-
-
 def _mutated(path: Path, edit):
     """A fresh module holding ``path``'s source with one edit applied."""
     anchor, replacement = edit
@@ -131,7 +130,13 @@ def _sweep_kills(single, classical, pda) -> bool:
     return bool(differential_check(sources, SWEEP_LEN, SWEEP_LIMITS).mismatches)
 
 
-CHECKS = {"identity": _identity_kills, "sweep": _sweep_kills}
+def _translation_kills(single, classical, pda) -> bool:
+    sspda = single(pda)
+    return bool(translation_failures(pda, sspda, witnesses(pda), witnesses(sspda)))
+
+
+CHECKS = {"identity": _identity_kills, "sweep": _sweep_kills,
+          "translation": _translation_kills}
 
 
 @pytest.mark.parametrize("name", MUTANTS)
@@ -144,7 +149,7 @@ def test_each_anchor_occurs_exactly_once(name):
 def test_unedited_sources_build_the_real_routes():
     # Replacing "" by "" leaves the text as it is.
     single, classical = _routes(("", ""), ("", ""))
-    for label, pda in _window():
+    for label, pda in window():
         assert single(pda) == to_single_state(pda), label
         assert classical(pda) == classical_pda_to_cfg(pda), label
 
@@ -152,27 +157,34 @@ def test_unedited_sources_build_the_real_routes():
 @pytest.mark.parametrize("name", MUTANTS)
 def test_structural_identity_kills_every_single_route_mutant(name):
     single, classical = _routes(MUTANTS[name][0])
-    assert any(_identity_kills(single, classical, pda) for _, pda in _window())
+    assert any(_identity_kills(single, classical, pda) for _, pda in window())
 
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_the_sweep_kills_every_paired_mutant(name):
     single, classical = _routes(*MUTANTS[name])
-    assert any(_sweep_kills(single, classical, pda) for _, pda in _window())
+    assert any(_sweep_kills(single, classical, pda) for _, pda in window())
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_translation_kills_every_mutant(name):
+    single, _ = _routes(MUTANTS[name][0])
+    assert any(_translation_kills(single, None, pda) for _, pda in window())
 
 
 def _matrix() -> None:
-    window = _window()
-    print(f"window: {len(window)} automata; sweep at L={SWEEP_LEN}, "
-          f"limits {SWEEP_LIMITS.max_configs}/{SWEEP_LIMITS.max_stack_depth}")
-    print(f"{'mutant':<18} {'routes':<7} {'check':<9} {'flagged':>8}  first")
+    automata = window()
+    print(f"window: {len(automata)} automata; sweep at L={SWEEP_LEN}, "
+          f"limits {SWEEP_LIMITS.max_configs}/{SWEEP_LIMITS.max_stack_depth}; "
+          f"translation at L={MAX_LEN}, limits {LIMITS.max_configs}/{LIMITS.max_stack_depth}")
+    print(f"{'mutant':<18} {'routes':<7} {'check':<11} {'flagged':>8}  first")
     for name in MUTANTS:
         for paired in (False, True):
             single, classical = _routes(*MUTANTS[name][:1 + paired])
             for check, kills in CHECKS.items():
-                flagged = [label for label, pda in window if kills(single, classical, pda)]
-                print(f"{name:<18} {'paired' if paired else 'single':<7} {check:<9} "
-                      f"{len(flagged):>3} of {len(window)}  {flagged[0] if flagged else '-'}")
+                flagged = [label for label, pda in automata if kills(single, classical, pda)]
+                print(f"{name:<18} {'paired' if paired else 'single':<7} {check:<11} "
+                      f"{len(flagged):>3} of {len(automata)}  {flagged[0] if flagged else '-'}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,6 @@
 immutability and copying, as each type's callers rely on them."""
 
 import copy
-import weakref
 
 import pytest
 
@@ -139,10 +138,3 @@ def test_limits_must_be_positive(limits):
 def test_limits_defaults():
     assert Limits() == Limits(100_000, 64)
     assert Limits(max_stack_depth=5).max_configs == 100_000
-
-
-def test_automata_are_weakly_referenceable():
-    pda = _pda()
-    sspda = SingleStatePda(frozenset({"a"}), frozenset({"Zs"}), frozenset())
-    assert weakref.ref(pda)() is pda
-    assert weakref.ref(sspda)() is sspda
