@@ -15,14 +15,15 @@ A grammar's bounded language, which enumeration and differential checks
 read, is the least solution of its equations, evaluated bottom up over
 strings bucketed by length (``derivable_strings``); it shares no code with
 the recognizer, whose ``member`` is its independent cross-check.  An
-automaton's bounded language walks the string trie depth first with one
-set of configurations per prefix, the set the search reaches at that input
-position, so strings share the work of their common prefixes.  The walk
-gives exactly the verdict kinds of per-string searches: while the
-configurations along a path stay within the budget, a string is decided
-from them and from whether any tried move was pruned; once they exceed it,
-every string under that prefix gets its own search.  A prefix with no
-successors settles its whole subtree at once.
+automaton's bounded language walks the string trie depth first with the
+configurations the search reaches at each prefix, grouped by state, top
+and height so that a move applies once per group; strings share the work
+of their common prefixes.  The walk gives exactly the verdict kinds of
+per-string searches: while the configurations along a path stay within
+the budget, a string is decided from them and from whether any tried move
+was pruned; once they exceed it, every string under that prefix gets its
+own search.  A prefix with no successors settles its whole subtree at
+once.
 """
 
 from __future__ import annotations
@@ -82,15 +83,17 @@ class _Compiled(NamedTuple):
 
     ``moves[state id][top id]`` lists ``(input, push ids, to id,
     Transition)`` in ``sorted(..., key=str)`` order, the order the search
-    explores moves in.  ``epsilon`` and ``reading`` split the same moves
-    into ``(push ids, to id)`` and ``(input, push ids, to id)`` for the
-    trie walk.  The start state and start symbol both have id 0, and the
-    other ids are needed only while compiling.
+    explores moves in.  ``steps`` holds the same moves for the trie walk
+    as ``(input, to id, new top id, tail, growth)``, where ``tail`` is the
+    push ids after the new top; a pop's new top and tail are None.
+    ``epsilon`` keeps only the steps that read nothing.  The start state
+    and start symbol both have id 0; the other ids matter only while
+    compiling.
     """
 
     moves: list
+    steps: list
     epsilon: list
-    reading: list
 
 
 def _compile(m: Automaton) -> _Compiled:
@@ -103,15 +106,15 @@ def _compile(m: Automaton) -> _Compiled:
         push = tuple(symbols.setdefault(s, len(symbols)) for s in t.push)
         rows[key].append((t.input, push, states.setdefault(t.to_state, len(states)), t))
     moves = [[() for _ in symbols] for _ in states]
+    steps = [[() for _ in symbols] for _ in states]
     epsilon = [[() for _ in symbols] for _ in states]
-    reading = [[() for _ in symbols] for _ in states]
     for (from_id, top_id), row in rows.items():
         moves[from_id][top_id] = tuple(row)
-        epsilon[from_id][top_id] = tuple(
-            (push, to) for inp, push, to, _ in row if inp is None)
-        reading[from_id][top_id] = tuple(
-            (inp, push, to) for inp, push, to, _ in row if inp is not None)
-    return _Compiled(moves, epsilon, reading)
+        row_steps = tuple((inp, to, push[0], push[1:], len(push) - 1) if push
+                          else (inp, to, None, None, -1) for inp, push, to, _ in row)
+        steps[from_id][top_id] = row_steps
+        epsilon[from_id][top_id] = tuple(step for step in row_steps if step[0] is None)
+    return _Compiled(moves, steps, epsilon)
 
 
 def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
@@ -176,53 +179,82 @@ def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     return Verdict("rejected")
 
 
-def _close(compiled: _Compiled, seeds, budget: int, max_depth: int, letters):
-    """The configurations ``accepts`` reaches at one input position.
-
-    ``seeds`` are the ``(state id, stack)`` pairs the previous letter led
-    to; they are closed under epsilon moves.  Returns None as soon as the
-    position holds more than ``budget`` configurations.  Otherwise returns
-    how many it holds, whether one has an empty stack, whether an epsilon
-    move pushed past ``max_depth``, the seeds each of ``letters``' reading
-    moves lead to, and the letters whose reading moves pushed past
-    ``max_depth``.  ``letters`` is empty at the last input position, where
-    nothing is read.
-    """
-    epsilon, reading = compiled.epsilon, compiled.reading
-    configs = set(seeds)
-    if len(configs) > budget:
-        return None
-    agenda = list(configs)
-    pruned = False
-    while agenda:
-        state, stack = agenda.pop()
-        for push, to in epsilon[state][stack[0]] if stack else ():
-            successor_stack = push + stack[1:]
-            if len(successor_stack) > max_depth:
-                pruned = True
+def _step(table, groups: dict, max_depth: int, filed: dict, over: set) -> bool:
+    """Apply each move of ``table`` once to a whole group, filing the
+    groups it leads to under ``filed[input]`` as new sets: a push sets its
+    tail above every rest, and a pop regroups the rests by their own tops.
+    The inputs of moves that would push past ``max_depth`` go to ``over``.
+    Returns whether one of ``groups`` is an empty stack."""
+    emptied = False
+    for (state, top, height), rests in groups.items():
+        if not height:
+            emptied = True
+            continue
+        for inp, to, new_top, tail, growth in table[state][top]:
+            if height + growth > max_depth:
+                over.add(inp)
                 continue
-            successor = (to, successor_stack)
-            if successor not in configs:
-                configs.add(successor)
-                if len(configs) > budget:
-                    return None
-                agenda.append(successor)
-    # Filed only once the position is known to fit the budget.
-    successors = {ch: set() for ch in letters}
-    overflows = set()
-    accepting = False
-    for state, stack in configs:
-        if not stack:
-            accepting = True
-        elif letters:
-            rest = stack[1:]
-            for inp, push, to in reading[state][stack[0]]:
-                successor_stack = push + rest
-                if len(successor_stack) > max_depth:
-                    overflows.add(inp)
+            landed = filed[inp]
+            if new_top is not None:
+                key = (to, new_top, height + growth)
+                new = {tail + rest for rest in rests} if tail else set(rests)
+                have = landed.get(key)
+                if have is None:
+                    landed[key] = new
                 else:
-                    successors[inp].add((to, successor_stack))
-    return len(configs), accepting, pruned, successors, overflows
+                    have |= new
+            elif height == 1:
+                landed[to, None, 0] = {()}
+            else:
+                for rest in rests:
+                    key = (to, rest[0], height - 1)
+                    have = landed.get(key)
+                    if have is None:
+                        landed[key] = {rest[1:]}
+                    else:
+                        have.add(rest[1:])
+    return emptied
+
+
+def _close(compiled: _Compiled, seeds: dict, budget: int, max_depth: int, letters):
+    """The configurations ``accepts`` reaches at one input position, as
+    groups ``{(state id, top id, height): set of rests}``, a rest being the
+    ids below the top; an empty stack is ``(state id, None, 0): {()}``.
+    ``seeds``, the groups the previous letter led to, grow in place into
+    the position's groups in semi-naive rounds, each moving only the rests
+    new in the round before: epsilon moves file into the position, reading
+    moves into the seeds of the next.  Returns None once the position
+    holds more than ``budget`` configurations; otherwise how many it holds,
+    whether one has an empty stack, whether an epsilon move pushed past
+    ``max_depth``, the seeds each of ``letters`` leads to, and the letters
+    whose moves pushed past it.  ``letters`` is empty at the last position.
+    """
+    count = sum(map(len, seeds.values()))
+    if count > budget:
+        return None
+    table = compiled.steps if letters else compiled.epsilon
+    groups = new_groups = seeds
+    filed: dict = {ch: {} for ch in letters}
+    over: set = set()
+    accepting = False
+    while new_groups:
+        filed[None] = stepped = {}
+        accepting = _step(table, new_groups, max_depth, filed, over) or accepting
+        new_groups = {}
+        for key, new in stepped.items():
+            have = groups.get(key)
+            if have is None:
+                groups[key] = new
+            else:
+                new -= have
+                have |= new
+            if new:
+                new_groups[key] = new
+                count += len(new)
+        if count > budget:
+            return None
+    del filed[None]
+    return count, accepting, None in over, filed, over
 
 
 def _simulate_language(m: Automaton, max_len: int,
@@ -232,20 +264,21 @@ def _simulate_language(m: Automaton, max_len: int,
 
     The configurations ``accepts`` reaches at input position k depend only
     on the first k letters, so the string trie is walked depth first with
-    one configuration set per prefix.  Each path carries the number of
-    configurations reached so far and whether a tried move was pruned.
-    While that number is within ``max_configs``, the search of a string
-    would reach everything and stop: accepted if a configuration at its end
-    has an empty stack, else inconclusive if anything was pruned, else
-    rejected.  Past it, the search may still accept before its budget runs
-    out, so every string under that prefix is asked of ``accepts`` itself.
+    one position's groups of configurations per prefix.  Each path carries
+    the number of distinct configurations, not groups, reached so far and
+    whether a tried move was pruned.  While that number is within
+    ``max_configs``, the search of a string would reach everything and
+    stop: accepted if a configuration at its end has an empty stack, else
+    inconclusive if anything was pruned, else rejected.  Past it, the search
+    may still accept before its budget runs out, so every string under that
+    prefix is asked of ``accepts`` itself.
     """
     compiled = _compile(m)
     alphabet = m.input_alphabet
     max_configs, max_depth = limits.max_configs, limits.max_stack_depth
     accepted: set[str] = set()
     inconclusive: set[str] = set()
-    pending = [("", {(0, (0,))}, 0, False)]
+    pending = [("", {(0, 0, 1): {()}}, 0, False)]
     while pending:
         prefix, seeds, explored, pruned = pending.pop()
         closed = _close(compiled, seeds, max_configs - explored, max_depth,

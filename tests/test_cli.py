@@ -118,6 +118,45 @@ def test_check_reports_zero_mismatches(p1_file, capsys):
     assert "checked=127" in out
 
 
+AGREED_511 = "checked=511 agree=511 mismatch=0 inconclusive=0\n"
+
+# Exit code and stdout of `check --classical --max-len 8` and of
+# `enum --max-len 8` on each corpus automaton; enum prints the same for the
+# automaton and for its single-state form.
+CORPUS_AT_LENGTH_8 = {
+    "P0": (0, "checked=9 agree=9 mismatch=0 inconclusive=0\n", 0, "a\n"),
+    "P1": (0, AGREED_511, 0, "\nab\naabb\naaabbb\naaaabbbb\n"),
+    "P2": (0, AGREED_511, 0,
+           "\n()\n(())\n()()\n((()))\n(()())\n(())()\n()(())\n()()()\n(((())))\n"
+           "((()()))\n((())())\n((()))()\n(()(()))\n(()()())\n(()())()\n(())(())\n"
+           "(())()()\n()((()))\n()(()())\n()(())()\n()()(())\n()()()()\n"),
+    "P3": (0, AGREED_511, 0,
+           "\naa\nbb\naaaa\nabba\nbaab\nbbbb\naaaaaa\naabbaa\nabaaba\nabbbba\n"
+           "baaaab\nbabbab\nbbaabb\nbbbbbb\naaaaaaaa\naaabbaaa\naabaabaa\naabbbbaa\n"
+           "abaaaaba\nababbaba\nabbaabba\nabbbbbba\nbaaaaaab\nbaabbaab\nbabaabab\n"
+           "babbbbab\nbbaaaabb\nbbabbabb\nbbbaabbb\nbbbbbbbb\n"),
+    "P4": (0, AGREED_511, 0, ""),
+    "P5": (2, "inconclusive strings: '' 'a' 'b' 'aa' 'ab' 'ba' 'bb' 'aaa' 'aab' 'aba' ...\n"
+              "checked=511 agree=0 mismatch=0 inconclusive=511\n", 2, ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_AT_LENGTH_8))
+def test_corpus_output_at_length_8_is_pinned(name, tmp_path, capsys):
+    check_code, check_out, enum_code, enum_out = CORPUS_AT_LENGTH_8[name]
+    entry = next(e for e in builtin_corpus() if e.name == name)
+    pda = tmp_path / f"{name}.pda"
+    pda.write_text(render(entry.pda))
+    sspda = tmp_path / f"{name}.sspda"
+    assert main(["convert", str(pda), "--stage", "sspda", "-o", str(sspda)]) == 0
+    capsys.readouterr()
+    assert main(["check", str(pda), "--classical", "--max-len", "8"]) == check_code
+    assert capsys.readouterr().out == check_out
+    for path in (pda, sspda):
+        assert main(["enum", str(path), "--max-len", "8"]) == enum_code
+        assert capsys.readouterr().out == enum_out
+
+
 def test_stats_prints_key_value_lines(p1_file, capsys):
     assert main(["stats", p1_file]) == 0
     out = capsys.readouterr().out

@@ -2,6 +2,7 @@ from collections import deque
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdacfg import (
     DEFAULT_LIMITS,
@@ -484,12 +485,29 @@ def test_simulator_walk_matches_per_string_searches_on_random_automata():
             assert engine._simulate_language(m, 3, limits) == _per_string(m, 3, limits), seed
 
 
+def test_simulator_walk_matches_per_string_searches_under_tight_limits():
+    # At L=6, Limits(300, 8) both prunes pushes and sends long strings over
+    # the budget on the mutant matrix's window of random automata.
+    limits = Limits(300, 8)
+    for seed in range(1, 61):
+        pda = random_pda(seed)
+        for m in (pda, to_single_state(pda)):
+            assert engine._simulate_language(m, 6, limits) == _per_string(m, 6, limits), seed
+
+
 @given(pdas())
 @settings(max_examples=40)
 def test_simulator_walk_matches_per_string_searches_on_hypothesis_automata(pda):
     for limits in (Limits(300, 12), Limits(max_configs=7, max_stack_depth=4)):
         _assert_walk_matches_per_string(pda, 3, limits)
         _assert_walk_matches_per_string(to_single_state(pda), 2, limits)
+
+
+@given(pdas(), st.integers(5, 400), st.integers(2, 6))
+def test_grouped_walk_matches_per_string_searches_on_single_state_forms(
+        pda, max_configs, max_stack_depth):
+    _assert_walk_matches_per_string(to_single_state(pda), 3,
+                                    Limits(max_configs, max_stack_depth))
 
 
 def reachable(m, w, max_depth):
@@ -534,25 +552,57 @@ def test_walk_decides_within_the_budget_and_asks_accepts_past_it(corpus, monkeyp
     # long before it has reached everything.
     loop = Pda({"q"}, {"a"}, {"Z"}, {Transition("q", None, "Z", "q", ("Z", "Z")),
                                      Transition("q", None, "Z", "q", ())}, "q", "Z")
-    cases = [(p3, "abba"), (p3, "abab"), (p3, "aab"), (p3, "ba"), (loop, "")]
-    counts = {w: reachable(m, w, DEFAULT_LIMITS.max_stack_depth) for m, w in cases}
-    for m, w in cases[1:4]:
+    counts = {w: reachable(m, w, DEFAULT_LIMITS.max_stack_depth)
+              for m, w in [(p3, "abab"), (p3, "aab"), (p3, "ba"), (loop, "")]}
+    for w in ("abab", "aab", "ba"):
         # A rejected string's search reaches everything, so its count is
         # the least budget under which it is conclusive.
-        assert accepts(m, w, Limits(counts[w])).is_rejected
-        assert accepts(m, w, Limits(counts[w] - 1)).reason == "max_configs"
+        assert accepts(p3, w, Limits(counts[w])).is_rejected
+        assert accepts(p3, w, Limits(counts[w] - 1)).reason == "max_configs"
     assert counts[""] == 65
     assert accepts(loop, "", Limits(64)).is_accepted
+    # The walk counts every distinct configuration, however it groups them:
+    # a string is asked of accepts exactly when its own search could run
+    # over the budget.
+    automata = [loop] + [m for entry in corpus.values()
+                         for m in (entry.pda, to_single_state(entry.pda))]
     asked = _recording_accepts(monkeypatch)
-    for m, w in cases:
-        for budget in (counts[w], counts[w] - 1):
-            limits = Limits(budget)
-            asked.clear()
-            accepted, inconclusive = engine._simulate_language(m, len(w), limits)
-            kind = ("accepted" if w in accepted else
-                    "inconclusive" if w in inconclusive else "rejected")
-            assert kind == accepts(m, w, limits).kind, (w, budget)
-            assert (w in asked) == (budget < counts[w]), (w, budget)
+    for m in automata:
+        for w in strings_up_to(m.input_alphabet, 4):
+            count = reachable(m, w, DEFAULT_LIMITS.max_stack_depth)
+            for budget in (count, count - 1) if count > 1 else (count,):
+                limits = Limits(budget)
+                asked.clear()
+                accepted, inconclusive = engine._simulate_language(m, len(w), limits)
+                kind = ("accepted" if w in accepted else
+                        "inconclusive" if w in inconclusive else "rejected")
+                assert kind == accepts(m, w, limits).kind, (m, w, budget)
+                assert (w in asked) == (budget < count), (m, w, budget)
+
+
+# Configurations the walk reaches at L=8 with default limits, summed over
+# every prefix it closes, for each corpus automaton and its single-state
+# form; the per-configuration walk counted the same.
+WALK_CONFIGURATIONS = {"P0": (2, 3), "P1": (30, 1360), "P2": (171, 172),
+                       "P3": (992, 199_734), "P4": (1, 3), "P5": (64, 65)}
+
+
+def test_the_walk_counts_every_configuration_it_reaches(corpus, monkeypatch):
+    counts = []
+    close = engine._close
+
+    def counting_close(*args):
+        closed = close(*args)
+        counts.append(closed[0])
+        return closed
+
+    monkeypatch.setattr(engine, "_close", counting_close)
+    for name, expected in WALK_CONFIGURATIONS.items():
+        pda = corpus[name].pda
+        for m, configurations in zip((pda, to_single_state(pda)), expected):
+            counts.clear()
+            engine._simulate_language(m, 8, DEFAULT_LIMITS)
+            assert sum(counts) == configurations, (name, m)
 
 
 def test_push_loop_is_settled_from_the_root_alone(corpus, monkeypatch):
