@@ -11,8 +11,8 @@ equality and use as set elements work throughout.
 ``Transition``, ``Triple`` and ``Configuration`` are named tuples: they
 compare, hash and order as the tuples of their fields.  ``Pda``,
 ``SingleStatePda`` and ``Cfg`` are ``_Record`` classes instead, because
-they equal only records of their own type and a diagnostic map
-(``provenance``, ``origins``) stays out of their equality.
+they equal only records of their own type and a grammar's diagnostic map
+(``origins``) stays out of its equality.
 """
 
 from __future__ import annotations
@@ -150,13 +150,10 @@ class SingleStatePda(_Record):
     Its moves are ordinary transitions from ``qm`` to ``qm`` over the stack
     symbols ``Zs`` and triples, and it answers ``states``, ``start_state``
     and ``start_stack`` as a ``Pda`` does; those are fixed, so they are class
-    attributes rather than fields.  ``provenance`` maps each transition to
-    a 1-tuple of the construction record that produced it.  It is diagnostic
-    and excluded from structural equality.
+    attributes rather than fields.  Equality reads all three fields.
     """
 
-    __slots__ = _fields = ("input_alphabet", "stack_alphabet", "transitions", "provenance")
-    _compared = _fields[:3]
+    __slots__ = _fields = _compared = ("input_alphabet", "stack_alphabet", "transitions")
 
     states = frozenset({QM})
     start_state = QM
@@ -165,10 +162,15 @@ class SingleStatePda(_Record):
     input_alphabet: frozenset[str]
     stack_alphabet: frozenset[SsSymbol]
     transitions: frozenset[Transition]
-    provenance: Optional[Mapping]
 
-    def __init__(self, input_alphabet, stack_alphabet, transitions, provenance=None):
-        self._set(input_alphabet, stack_alphabet, transitions, provenance)
+    def __init__(self, input_alphabet, stack_alphabet, transitions):
+        self._set(input_alphabet, stack_alphabet, transitions)
+
+    @property
+    def provenance(self) -> dict:
+        """``{row: (source move,)}``, kept only for ``perfbench/tracing.py``."""
+        from .singlestate import source_move
+        return {row: (source_move(row),) for row in self.transitions}
 
 
 Production = tuple[str, tuple[str, ...]]

@@ -5,8 +5,8 @@ per choice of states s_1..s_l: the row pops ``[p,X,s_l]`` and pushes the
 chain ``[r,Y_1,s_1] [s_1,Y_2,s_2] .. [s_{l-1},Y_l,s_l]`` (a pop move, l = 0,
 gives the one row popping ``[p,X,r]``).  The fresh start symbol ``Zs`` seeds
 one triple per state.  Rows are ordinary transitions from ``qm`` to ``qm``.
-Every row records the source move it came from; the states chosen for it
-are spelled by its own triples.
+A row spells both its source move and the states chosen for it, so
+``source_move`` reads the move back off the row; nothing else is recorded.
 """
 
 from __future__ import annotations
@@ -17,32 +17,15 @@ from typing import NamedTuple, Optional
 from .model import QM, START, Pda, SingleStatePda, Transition, Triple, validate_pda
 
 
-class Provenance(NamedTuple):
-    """Why a single-state row exists.
-
-    Rule 1 wraps the pop move ``source``, rule 2 expands the push move
-    ``source`` for one choice of chain states, and rule 3 (no source) seeds
-    the start marker.
-    """
-
-    rule: int
-    source: Optional[Transition]
-
-    def __str__(self) -> str:
-        if self.source is None:
-            return f"rule{self.rule}"
-        return f"rule{self.rule} {self.source}"
-
-
 class SizeStats(NamedTuple):
     """Size accounting for one conversion.
 
     ``predicted_ss_transitions`` is the closed-form count |Q| + sum over
     source moves of |Q|**l (push length l; a pop move contributes 1); the
     measured ``actual_ss_transitions`` counts distinct rows, and
-    ``collision_count`` is the difference, 0 because each row spells its
-    move and chosen states.  ``ss_symbol_count`` counts declared
-    symbols (all triples plus the start marker) while
+    ``collision_count`` is the difference, 0 because ``source_move`` reads
+    each row back to one move and one choice of states.  ``ss_symbol_count``
+    counts declared symbols (all triples plus the start marker) while
     ``referenced_ss_symbol_count`` counts those actually used by transitions.
     """
 
@@ -64,31 +47,38 @@ def to_single_state(pda: Pda) -> SingleStatePda:
     stack symbols plus the start marker, whether or not a transition uses it.
     """
     _check_convertible(pda)
-
-    # A row spells its move and its chosen states, so no two records share
-    # one; each row keeps its one record as a 1-tuple.
-    provenance: dict[Transition, tuple[Provenance]] = {}
+    rows = {Transition(QM, None, START, QM, (Triple(pda.start_state, pda.start_stack, s),))
+            for s in pda.states}
     for move in pda.transitions:
-        record = (Provenance(2 if move.push else 1, move),)
         for choice in itertools.product(pda.states, repeat=len(move.push)):
             links = (move.to_state, *choice)
             chain = tuple(Triple(links[i], symbol, links[i + 1])
                           for i, symbol in enumerate(move.push))
             pop = Triple(move.from_state, move.pop, links[-1])
-            provenance[Transition(QM, move.input, pop, QM, chain)] = record
-    for s in pda.states:
-        row = Transition(QM, None, START, QM, (Triple(pda.start_state, pda.start_stack, s),))
-        provenance[row] = (Provenance(3, None),)
+            rows.add(Transition(QM, move.input, pop, QM, chain))
 
     symbols = {START} | {
         Triple(p, base, q)
         for p in pda.states for base in pda.stack_alphabet for q in pda.states}
-    return SingleStatePda(
-        input_alphabet=pda.input_alphabet,
-        stack_alphabet=frozenset(symbols),
-        transitions=frozenset(provenance),
-        provenance=provenance,
-    )
+    return SingleStatePda(pda.input_alphabet, frozenset(symbols), frozenset(rows))
+
+
+def source_move(row: Transition) -> Optional[Transition]:
+    """The move ``row`` was built from: ``[p,X,q] -> a [r,Y1,s1] ..
+    [s_{l-1},Yl,q]`` reads back to ``p a X -> r Y1..Yl`` (``[p,X,r] -> a``
+    to ``p a X -> r eps``), and a seeding row ``Zs -> [p,X,q]`` to None.
+    Raise ValueError for a row no move builds: a chain that does not link
+    up or end in ``q``, or a row using ``Zs`` other than as a seeding row."""
+    if START in row.push or (row.pop == START and (row.input is not None or len(row.push) != 1)):
+        raise ValueError(f"no move builds the row '{row}': only seeding rows use Zs")
+    if row.pop == START:
+        return None
+    p, base, q = row.pop
+    links = [t.from_state for t in row.push] + [q]
+    if [t.to_state for t in row.push] != links[1:]:
+        raise ValueError(f"no move builds the row '{row}': its chain must link up "
+                         f"and end in {q!r}")
+    return Transition(p, row.input, base, links[0], tuple(t.base for t in row.push))
 
 
 def predicted_transition_count(pda: Pda) -> int:
@@ -120,10 +110,7 @@ def size_stats(pda: Pda) -> SizeStats:
     """Run the construction and collect its size accounting."""
     sspda = to_single_state(pda)
     predicted = predicted_transition_count(pda)
-    referenced = set()
-    for t in sspda.transitions:
-        referenced.add(t.pop)
-        referenced.update(t.push)
+    referenced = {symbol for t in sspda.transitions for symbol in (t.pop, *t.push)}
     n = len(pda.states)
     triple_count = n * n * len(pda.stack_alphabet)
     return SizeStats(

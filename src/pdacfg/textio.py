@@ -329,8 +329,21 @@ def _header_line(name: str, symbols) -> str:
     return f"{name}: {rest}" if rest else f"{name}:"
 
 
+def _row_note(row: Transition) -> str:
+    """The ``# from:`` note of the rule and move read off a row, if any."""
+    from .singlestate import source_move
+
+    try:
+        move = source_move(row)
+    except ValueError:
+        return ""
+    if move is None:
+        return "  # from: rule3"
+    return f"  # from: rule{2 if move.push else 1} {move}"
+
+
 def _render_automaton(m: Union[Pda, SingleStatePda], verbose: bool) -> str:
-    notes = m.provenance if verbose and isinstance(m, SingleStatePda) else None
+    noted = verbose and isinstance(m, SingleStatePda)
     lines = [
         _header_line("states", sorted(m.states)),
         _header_line("input", sorted(m.input_alphabet)),
@@ -339,9 +352,7 @@ def _render_automaton(m: Union[Pda, SingleStatePda], verbose: bool) -> str:
         f"startstack: {m.start_stack}",
     ]
     for text, t in sorted(((str(t), t) for t in m.transitions), key=lambda row: row[0]):
-        if notes and t in notes:
-            text += "  # from: " + "; ".join(str(p) for p in notes[t])
-        lines.append(text)
+        lines.append(text + _row_note(t) if noted else text)
     return "\n".join(lines) + "\n"
 
 
@@ -386,8 +397,8 @@ def _render_cfg(cfg: Cfg, verbose: bool) -> str:
 def render(obj: Union[Pda, SingleStatePda, Cfg], verbose: bool = False) -> str:
     """Canonical text for an automaton or grammar.
 
-    With ``verbose``, single-state transitions and constructed productions
-    carry trailing ``# from: ...`` provenance comments.
+    With ``verbose``, single-state rows and constructed productions carry
+    trailing ``# from: ...`` comments saying where each came from.
     """
     if isinstance(obj, (Pda, SingleStatePda)):
         return _render_automaton(obj, verbose)

@@ -34,6 +34,7 @@ from pdacfg import (
 )
 from pdacfg.cli import main
 from pdacfg.engine import _Recognizer
+from pdacfg.singlestate import source_move
 
 RANDOM_SEEDS = tuple(range(1, 101))
 GRAMMAR_SEEDS = tuple(range(1, 51))
@@ -96,22 +97,21 @@ def test_criterion_4_chain_well_formedness(corpus, random_suite):
     machines = [entry.pda for entry in corpus.values()]
     machines += [pda for _, pda, *_ in random_suite]
     for pda in machines:
-        sspda = to_single_state(pda)
         n = len(pda.states)
         per_move = Counter()
-        for tr, records in sspda.provenance.items():
-            for record in records:
-                if record.rule != 2:
-                    continue
-                per_move[record.source] += 1
-                chain = tr.push
-                assert chain[0].from_state == record.source.to_state
-                assert chain[-1].to_state == tr.pop.to_state
-                assert tuple(t.base for t in chain) == record.source.push
-                assert all(left.to_state == right.from_state
-                           for left, right in zip(chain, chain[1:]))
-        for move, count in per_move.items():
-            assert count == n ** len(move.push)
+        for tr in to_single_state(pda).transitions:
+            move = source_move(tr)  # ValueError if the chain does not link up
+            per_move[move] += 1
+            chain = tr.push
+            if move is None or not chain:
+                continue
+            assert chain[0].from_state == move.to_state
+            assert chain[-1].to_state == tr.pop.to_state
+            assert tuple(t.base for t in chain) == move.push
+            assert all(left.to_state == right.from_state
+                       for left, right in zip(chain, chain[1:]))
+        assert per_move.pop(None) == n
+        assert per_move == {move: n ** len(move.push) for move in pda.transitions}
     _ok(4, "every rule-2 chain links correctly and per-move counts are |Q|**l")
 
 

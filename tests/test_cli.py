@@ -157,6 +157,28 @@ def test_corpus_output_at_length_8_is_pinned(name, tmp_path, capsys):
         assert capsys.readouterr().out == enum_out
 
 
+# Expected stdout of each command on each corpus automaton, byte for byte,
+# in tests/pinned/<name>.<label>.txt.
+PINNED = Path(__file__).parent / "pinned"
+PINNED_COMMANDS = {
+    "sspda-verbose": ["convert", "--stage", "sspda", "--verbose"],
+    "cfg-verbose": ["convert", "--verbose"],
+    "stats": ["stats"],
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_COMMANDS))
+@pytest.mark.parametrize("name", sorted(CORPUS_AT_LENGTH_8))
+def test_convert_and_stats_output_is_pinned(name, label, tmp_path, capsys):
+    entry = next(e for e in builtin_corpus() if e.name == name)
+    pda = tmp_path / f"{name}.pda"
+    pda.write_text(render(entry.pda))
+    command, *flags = PINNED_COMMANDS[label]
+    assert main([command, str(pda), *flags]) == 0
+    expected = (PINNED / f"{name}.{label}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
 def test_stats_prints_key_value_lines(p1_file, capsys):
     assert main(["stats", p1_file]) == 0
     out = capsys.readouterr().out

@@ -22,9 +22,12 @@ Three checks are measured over a fixed window, the corpus plus
 
 Run as a script, ``PYTHONPATH=src python tests/test_mutants.py`` prints the
 whole matrix: for each mutant and check, how many automata flag it and the
-first that does.
+first that does.  The ``forward`` and ``backward`` rows split translation
+by direction: backward reads each row's move off the row, so it also
+catches rows that no move builds.
 """
 
+import functools
 import types
 from pathlib import Path
 
@@ -130,13 +133,23 @@ def _sweep_kills(single, classical, pda) -> bool:
     return bool(differential_check(sources, SWEEP_LEN, SWEEP_LIMITS).mismatches)
 
 
-def _translation_kills(single, classical, pda) -> bool:
+@functools.lru_cache(maxsize=None)
+def _failed_directions(single, pda) -> frozenset:
+    """The directions in which some accepted run fails to translate;
+    cached, so the matrix's three translation rows share one run."""
     sspda = single(pda)
-    return bool(translation_failures(pda, sspda, witnesses(pda), witnesses(sspda)))
+    failures = translation_failures(pda, sspda, witnesses(pda), witnesses(sspda))
+    return frozenset(direction for direction, _ in failures)
+
+
+def _translation_kills(single, classical, pda) -> bool:
+    return bool(_failed_directions(single, pda))
 
 
 CHECKS = {"identity": _identity_kills, "sweep": _sweep_kills,
-          "translation": _translation_kills}
+          "translation": _translation_kills,
+          "forward": lambda single, _, pda: "forward" in _failed_directions(single, pda),
+          "backward": lambda single, _, pda: "backward" in _failed_directions(single, pda)}
 
 
 @pytest.mark.parametrize("name", MUTANTS)

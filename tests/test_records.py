@@ -17,7 +17,7 @@ from pdacfg import (
     Verdict,
 )
 from pdacfg.harness import CorpusEntry
-from pdacfg.singlestate import Provenance, SizeStats
+from pdacfg.singlestate import SizeStats
 
 MOVE = "Transition(from_state='q0', input='a', pop='Z', to_state='q0', push=('A',))"
 PDA = ("Pda(states=frozenset({'q0'}), input_alphabet=frozenset({'a'}), "
@@ -39,15 +39,13 @@ RECORDS = [
     (_pda, PDA),
     (lambda: SingleStatePda(frozenset({"a"}), frozenset({"Zs"}), frozenset()),
      "SingleStatePda(input_alphabet=frozenset({'a'}), stack_alphabet=frozenset({'Zs'}), "
-     "transitions=frozenset(), provenance=None)"),
+     "transitions=frozenset())"),
     (lambda: Cfg({"S"}, {"a"}, {("S", ("a",))}, "S"),
      "Cfg(variables=frozenset({'S'}), terminals=frozenset({'a'}), "
      "productions=frozenset({('S', ('a',))}), start='S', origins=None)"),
     (lambda: Limits(7, 3), "Limits(max_configs=7, max_stack_depth=3)"),
     (lambda: Verdict("accepted", witness=(Transition("q0", "a", "Z", "q0", ("A",)),)),
      f"Verdict(kind='accepted', witness=({MOVE},), reason='')"),
-    (lambda: Provenance(2, Transition("q0", "a", "Z", "q0", ("A",))),
-     f"Provenance(rule=2, source={MOVE})"),
     (lambda: SizeStats(1, 2, 3, 4, 5, 6, 7, 8, 9),
      "SizeStats(q_count=1, gamma_count=2, source_transition_count=3, triple_count=4, "
      "ss_symbol_count=5, referenced_ss_symbol_count=6, predicted_ss_transitions=7, "
@@ -98,11 +96,12 @@ def test_diagnostic_maps_stay_out_of_equality_and_hashing():
     assert plain == noted and hash(plain) == hash(noted)
     assert noted.origins == {("S", ("a",)): ("x",)}
 
-    parts = (frozenset({"a"}), frozenset({"Zs"}), frozenset())
-    plain = SingleStatePda(*parts)
-    noted = SingleStatePda(*parts, provenance={"row": ("record",)})
-    assert plain == noted and hash(plain) == hash(noted)
     assert Cfg({"S"}, {"a"}, productions, "S") != Cfg({"S"}, {"a"}, set(), "S")
+    # A single-state automaton keeps no diagnostic map: each row spells its
+    # source move, so equality reads every field.
+    assert SingleStatePda._compared == SingleStatePda._fields
+    with pytest.raises(TypeError):
+        SingleStatePda(frozenset({"a"}), frozenset({"Zs"}), frozenset(), {"row": ("record",)})
 
 
 def test_a_pda_freezes_the_sets_it_is_given():

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -17,6 +18,7 @@ from pdacfg import (
     to_single_state,
 )
 from pdacfg import singlestate
+from pdacfg.singlestate import source_move
 
 from strategies import pdas
 
@@ -35,8 +37,7 @@ def test_triples_compare_by_components():
 
 
 def _rows_of(pda, move):
-    return {tr for tr, records in to_single_state(pda).provenance.items()
-            if records[0].source == move}
+    return {tr for tr in to_single_state(pda).transitions if source_move(tr) == move}
 
 
 def test_single_symbol_push_has_exactly_one_chain():
@@ -124,8 +125,14 @@ def test_a_single_state_pda_has_the_start_attributes_of_a_pda(p1):
     assert sspda.states == {"qm"}
     assert (sspda.start_state, sspda.start_stack) == ("qm", "Zs")
     # fixed for the kind, so they are not fields
-    assert list(SingleStatePda._fields) == [
-        "input_alphabet", "stack_alphabet", "transitions", "provenance"]
+    assert SingleStatePda._fields == ("input_alphabet", "stack_alphabet", "transitions")
+
+
+def test_the_derived_provenance_map_holds_one_record_per_row(p1):
+    # perfbench/tracing.py counts these records for `singlestate.collisions`
+    sspda = to_single_state(p1)
+    assert sspda.provenance == {row: (source_move(row),) for row in sspda.transitions}
+    assert sum(len(records) for records in sspda.provenance.values()) == 14
 
 
 def test_invalid_automata_are_refused():
@@ -163,75 +170,67 @@ def test_size_stats_without_moves():
     assert stats.actual_ss_transitions == 2
 
 
-@given(pdas())
-def test_rule2_chains_are_well_formed(pda):
-    sspda = to_single_state(pda)
-    for tr, records in sspda.provenance.items():
-        for record in records:
-            if record.rule != 2:
-                continue
-            chain = tr.push
-            assert len(chain) == len(record.source.push)
-            assert chain[0].from_state == record.source.to_state
-            assert chain[-1].to_state == tr.pop.to_state
-            assert tuple(t.base for t in chain) == record.source.push
-            for left, right in zip(chain, chain[1:]):
-                assert left.to_state == right.from_state
+def _expansion(states, move) -> set:
+    """The rows the paper builds from ``move`` ``p a X -> r Y1..Yl``: for
+    each choice of states s_1..s_l, ``[p,X,s_l] -> a [r,Y1,s_1] [s_1,Y2,s_2]
+    .. [s_{l-1},Yl,s_l]``."""
+    rows = set()
+    for choice in itertools.product(sorted(states), repeat=len(move.push)):
+        links = (move.to_state, *choice)
+        chain = tuple(Triple(links[i], base, links[i + 1]) for i, base in enumerate(move.push))
+        rows.add(Transition(QM, move.input, Triple(move.from_state, move.pop, links[-1]), QM,
+                            chain))
+    return rows
 
 
 @given(pdas())
-def test_per_move_cardinalities(pda):
-    sspda = to_single_state(pda)
-    n = len(pda.states)
+def test_rows_read_back_to_the_moves_that_build_them(pda):
+    rows = to_single_state(pda).transitions
+    seeding = {tr for tr in rows if tr.pop == START}
+    rebuilt = set()
     per_move = Counter()
-    seeded = 0
-    for records in sspda.provenance.values():
-        for record in records:
-            if record.rule == 3:
-                seeded += 1
-            else:
-                per_move[record.source] += 1
-    assert seeded == n
-    for move in pda.transitions:
-        assert per_move[move] == n ** len(move.push)
+    for tr in rows - seeding:
+        move = source_move(tr)
+        expansion = _expansion(pda.states, move)
+        assert tr in expansion
+        rebuilt |= expansion
+        per_move[move] += 1
+    assert rebuilt == rows - seeding
+    assert per_move == {move: len(pda.states) ** len(move.push) for move in pda.transitions}
+    assert seeding == {
+        Transition(QM, None, START, QM, (Triple(pda.start_state, pda.start_stack, s),))
+        for s in pda.states}
+    assert {source_move(tr) for tr in seeding} == {None}
+    assert not any(START in tr.push for tr in rows)
 
 
-@given(pdas())
-def test_provenance_is_total_and_replays(pda):
-    # each row is rebuilt from its record and the states its own triples
-    # spell: the outer state, and the chain's link states for a push
-    sspda = to_single_state(pda)
-    assert set(sspda.provenance) == set(sspda.transitions)
-    seeded = set()
-    for tr, records in sspda.provenance.items():
-        assert len(records) == 1
-        record = records[0]
-        if record.rule == 3:
-            assert record.source is None
-            outer = tr.push[0].to_state
-            assert tr == Transition(
-                QM, None, START, QM, (Triple(pda.start_state, pda.start_stack, outer),))
-            seeded.add(outer)
-            continue
-        move = record.source
-        assert record.rule == (2 if move.push else 1)
-        links = (move.to_state, *(link.to_state for link in tr.push))
-        assert tr == Transition(
-            QM, move.input, Triple(move.from_state, move.pop, links[-1]), QM,
-            tuple(Triple(links[i], symbol, links[i + 1])
-                  for i, symbol in enumerate(move.push)))
-    assert seeded == pda.states
+def test_source_move_reads_each_kind_of_row():
+    push = Transition(QM, "a", Triple("p", "X", "s"), QM,
+                      (Triple("r", "A", "q"), Triple("q", "B", "s")))
+    assert source_move(push) == Transition("p", "a", "X", "r", ("A", "B"))
+    pop = Transition(QM, None, Triple("p", "X", "r"), QM, ())
+    assert source_move(pop) == Transition("p", None, "X", "r", ())
+    seed = Transition(QM, None, START, QM, (Triple("p", "Z", "q"),))
+    assert source_move(seed) is None
 
 
-@given(pdas())
-def test_start_marker_only_pops_in_rule3(pda):
-    sspda = to_single_state(pda)
-    for tr, records in sspda.provenance.items():
-        assert START not in tr.push
-        if tr.pop == START:
-            assert all(record.rule == 3 for record in records)
-        else:
-            assert all(record.rule != 3 for record in records)
+PXS = Triple("p", "X", "s")
+
+
+@pytest.mark.parametrize("row", [
+    # [r,A,q] does not link to [t,B,s]
+    Transition(QM, "a", PXS, QM, (Triple("r", "A", "q"), Triple("t", "B", "s"))),
+    # the chain ends in t, not in the popped triple's s
+    Transition(QM, "a", PXS, QM, (Triple("r", "A", "q"), Triple("q", "B", "t"))),
+    Transition(QM, None, PXS, QM, (Triple("r", "A", "t"),)),
+    # a row popping Zs must read nothing and push one triple
+    Transition(QM, "a", START, QM, (PXS,)),
+    Transition(QM, None, START, QM, (PXS, PXS)),
+    Transition(QM, "a", PXS, QM, (START,)),
+], ids=["unlinked", "off-end", "off-end-1", "seed-reads", "seed-pushes-2", "pushes-Zs"])
+def test_source_move_refuses_a_row_no_move_builds(row):
+    with pytest.raises(ValueError, match="no move builds the row"):
+        source_move(row)
 
 
 @given(pdas())

@@ -6,7 +6,9 @@ from pdacfg import (
     P1_TEXT,
     ParseError,
     Pda,
+    SingleStatePda,
     Transition,
+    Triple,
     builtin_corpus,
     parse_cfg,
     parse_pda,
@@ -132,6 +134,31 @@ def test_verbose_sspda_render_carries_provenance_comments():
     assert "# from: rule2 q0 a Z -> q0 A Z" in text
     assert "# from: rule3" in text
     assert parse_sspda(text) == sspda
+
+
+def test_verbose_notes_depend_only_on_the_automaton(corpus):
+    # a parsed single-state file is noted as the automaton it equals
+    for name, entry in corpus.items():
+        sspda = to_single_state(entry.pda)
+        noted = render(sspda, verbose=True)
+        assert render(parse_sspda(render(sspda)), verbose=True) == noted, name
+
+
+def test_rows_no_move_builds_render_without_a_note():
+    # no move builds a chain that does not link, or a row popping Zs that
+    # reads input
+    text = ("states: qm\ninput: a\nstack: Zs [p,X,s] [r,A,q] [t,B,s]\n"
+            "start: qm\nstartstack: Zs\n"
+            "qm eps Zs -> qm [p,X,s]\nqm a Zs -> qm [p,X,s]\n"
+            "qm a [p,X,s] -> qm [r,A,q] [t,B,s]\n")
+    lines = render(parse_sspda(text), verbose=True).splitlines()
+    assert lines[-3:] == ["qm a Zs -> qm [p,X,s]",
+                          "qm a [p,X,s] -> qm [r,A,q] [t,B,s]",
+                          "qm eps Zs -> qm [p,X,s]  # from: rule3"]
+    # nor a row pushing Zs, which only a directly built automaton can hold
+    pushes = Transition("qm", "a", Triple("p", "X", "s"), "qm", ("Zs",))
+    built = SingleStatePda(frozenset("a"), frozenset({"Zs", pushes.pop}), frozenset({pushes}))
+    assert render(built, verbose=True).splitlines()[-1] == "qm a [p,X,s] -> qm Zs"
 
 
 def test_verbose_cfg_render_carries_provenance_comments():

@@ -5,8 +5,9 @@ becomes the triple ``[p,Y,q]``, where ``p`` is the state when the cell
 reaches the top and ``q`` the state when the cell below it is on top
 again; the bottom cell's ``q`` is the run's last state.  The first row is
 the seeding row ``Zs -> [start, Z, last state]``.  Single-state rows map
-backward to PDA moves: each row after the seeding row becomes the move its
-provenance names.  Either way, the translated run must replay on the other
+backward to PDA moves: each row after the seeding row becomes the move
+``source_move`` reads off it, and a row that reads back to no move fails
+the translation.  Either way, the translated run must replay on the other
 form and end on an empty stack with the whole string read.
 
 Both maps are tried on every accepted string of a fixed window, the corpus
@@ -18,6 +19,7 @@ import pytest
 
 from pdacfg import (QM, START, Limits, Transition, Triple, accepts, builtin_corpus,
                     enumerate_language, random_pda, replay_configurations, to_single_state)
+from pdacfg.singlestate import source_move
 
 MAX_LEN = 4
 LIMITS = Limits(5000, 48)
@@ -53,9 +55,10 @@ def forward(pda, witness) -> tuple:
                     for t, (cell, pushed) in zip(witness, popped)))
 
 
-def backward(sspda, witness) -> tuple:
-    """The PDA moves of an accepting single-state run."""
-    return tuple(sspda.provenance[row][0].source for row in witness[1:])
+def backward(witness) -> tuple:
+    """The PDA moves of an accepting single-state run, each read off its
+    row; ValueError if a row reads back to no move."""
+    return tuple(map(source_move, witness[1:]))
 
 
 def witnesses(m) -> dict:
@@ -64,11 +67,12 @@ def witnesses(m) -> dict:
     return {w: accepts(m, w, LIMITS).witness for w in sorted(accepted)}
 
 
-def replays(m, w, run) -> bool:
-    """Whether ``run`` applies to ``m`` from its start and ends on an empty
-    stack with all of ``w`` read."""
+def replays(m, w, translate) -> bool:
+    """Whether the run ``translate()`` returns applies to ``m`` from its
+    start and ends on an empty stack with all of ``w`` read.  A run that
+    cannot be translated does not replay."""
     try:
-        end = replay_configurations(m, w, run)[-1]
+        end = replay_configurations(m, w, translate())[-1]
     except ValueError:
         return False
     return end.input_pos == len(w) and not end.stack
@@ -79,9 +83,9 @@ def translation_failures(pda, sspda, pda_runs, sspda_runs) -> list[tuple[str, st
     translated: ``pda``'s runs forward onto ``sspda``, and ``sspda``'s runs
     backward onto ``pda``.  The runs map accepted strings to witnesses."""
     return ([("forward", w) for w, run in pda_runs.items()
-             if not replays(sspda, w, forward(pda, run))]
+             if not replays(sspda, w, lambda: forward(pda, run))]
             + [("backward", w) for w, run in sspda_runs.items()
-               if not replays(pda, w, backward(sspda, run))])
+               if not replays(pda, w, lambda: backward(run))])
 
 
 @pytest.fixture(scope="module")
@@ -103,11 +107,11 @@ def test_witnesses_translate_both_ways(accepted):
 
 
 def test_backward_undoes_forward(accepted):
-    for label, pda, sspda, pda_runs, _ in accepted:
+    for label, pda, _, pda_runs, _ in accepted:
         for w, run in pda_runs.items():
             rows = forward(pda, run)
-            assert sspda.provenance[rows[0]][0].rule == 3, (label, w)
-            assert backward(sspda, rows) == run, (label, w)
+            assert source_move(rows[0]) is None, (label, w)
+            assert backward(rows) == run, (label, w)
 
 
 def test_a_run_maps_to_the_rows_the_construction_names(corpus):
