@@ -184,6 +184,61 @@ def _expansion(states, move) -> set:
 
 
 @given(pdas())
+def test_rule2_chains_are_well_formed(pda):
+    for tr in to_single_state(pda).transitions:
+        move = source_move(tr)
+        if move is None or not move.push:
+            continue
+        chain = tr.push
+        assert len(chain) == len(move.push)
+        assert chain[0].from_state == move.to_state
+        assert chain[-1].to_state == tr.pop.to_state
+        assert tuple(t.base for t in chain) == move.push
+        for left, right in zip(chain, chain[1:]):
+            assert left.to_state == right.from_state
+
+
+@given(pdas())
+def test_per_move_cardinalities(pda):
+    n = len(pda.states)
+    moves = Counter(source_move(tr) for tr in to_single_state(pda).transitions)
+    assert moves.pop(None) == n
+    for move in pda.transitions:
+        assert moves[move] == n ** len(move.push)
+
+
+@given(pdas())
+def test_provenance_is_total_and_replays(pda):
+    # each row is rebuilt from the move read off it and the states its own
+    # triples spell: the outer state, and the chain's link states for a push
+    sspda = to_single_state(pda)
+    assert set(sspda.provenance) == set(sspda.transitions)
+    seeded = set()
+    for tr in sspda.transitions:
+        move = source_move(tr)
+        if move is None:
+            outer = tr.push[0].to_state
+            assert tr == Transition(
+                QM, None, START, QM, (Triple(pda.start_state, pda.start_stack, outer),))
+            seeded.add(outer)
+            continue
+        assert move in pda.transitions
+        links = (move.to_state, *(link.to_state for link in tr.push))
+        assert tr == Transition(
+            QM, move.input, Triple(move.from_state, move.pop, links[-1]), QM,
+            tuple(Triple(links[i], symbol, links[i + 1])
+                  for i, symbol in enumerate(move.push)))
+    assert seeded == pda.states
+
+
+@given(pdas())
+def test_start_marker_only_pops_in_rule3(pda):
+    for tr in to_single_state(pda).transitions:
+        assert START not in tr.push
+        assert (tr.pop == START) == (source_move(tr) is None)
+
+
+@given(pdas())
 def test_rows_read_back_to_the_moves_that_build_them(pda):
     rows = to_single_state(pda).transitions
     seeding = {tr for tr in rows if tr.pop == START}
