@@ -163,6 +163,9 @@ PINNED = Path(__file__).parent / "pinned"
 PINNED_COMMANDS = {
     "sspda-verbose": ["convert", "--stage", "sspda", "--verbose"],
     "cfg-verbose": ["convert", "--verbose"],
+    "classical-verbose": ["convert", "--classical", "--verbose"],
+    "prune-verbose": ["convert", "--prune", "--verbose"],
+    "classical-prune-verbose": ["convert", "--classical", "--prune", "--verbose"],
     "stats": ["stats"],
 }
 
