@@ -41,7 +41,7 @@ LanguageSource = Union[Pda, SingleStatePda, Cfg]
 class Limits(_Record):
     """Search bounds for the PDA simulator; both must be positive."""
 
-    __slots__ = _fields = _compared = ("max_configs", "max_stack_depth")
+    __slots__ = _fields = ("max_configs", "max_stack_depth")
 
     max_configs: int
     max_stack_depth: int
@@ -81,17 +81,15 @@ class _Compiled(NamedTuple):
     """An automaton's moves, indexed by state and stack symbol interned to
     ints; both automaton kinds compile the same way, once per query.
 
-    ``moves[state id][top id]`` lists ``(input, push ids, to id,
-    Transition)`` in ``sorted(..., key=str)`` order, the order the search
-    explores moves in.  ``steps`` holds the same moves for the trie walk
-    as ``(input, to id, new top id, tail, growth)``, where ``tail`` is the
-    push ids after the new top; a pop's new top and tail are None.
-    ``epsilon`` keeps only the steps that read nothing.  The start state
-    and start symbol both have id 0; the other ids matter only while
-    compiling.
+    ``steps[state id][top id]`` lists ``(input, to id, new top id, tail,
+    growth, Transition)`` in ``sorted(..., key=str)`` order, the order the
+    search explores moves in; ``tail`` is the push ids after the new top,
+    ``growth`` the change in stack height, and a pop's new top and tail
+    are None.  ``epsilon`` keeps only the steps that read nothing.  The
+    start state and start symbol both have id 0; the other ids matter only
+    while compiling.
     """
 
-    moves: list
     steps: list
     epsilon: list
 
@@ -104,17 +102,15 @@ def _compile(m: Automaton) -> _Compiled:
         key = (states.setdefault(t.from_state, len(states)),
                symbols.setdefault(t.pop, len(symbols)))
         push = tuple(symbols.setdefault(s, len(symbols)) for s in t.push)
-        rows[key].append((t.input, push, states.setdefault(t.to_state, len(states)), t))
-    moves = [[() for _ in symbols] for _ in states]
+        to = states.setdefault(t.to_state, len(states))
+        rows[key].append((t.input, to, push[0], push[1:], len(push) - 1, t) if push
+                         else (t.input, to, None, None, -1, t))
     steps = [[() for _ in symbols] for _ in states]
     epsilon = [[() for _ in symbols] for _ in states]
     for (from_id, top_id), row in rows.items():
-        moves[from_id][top_id] = tuple(row)
-        row_steps = tuple((inp, to, push[0], push[1:], len(push) - 1) if push
-                          else (inp, to, None, None, -1) for inp, push, to, _ in row)
-        steps[from_id][top_id] = row_steps
-        epsilon[from_id][top_id] = tuple(step for step in row_steps if step[0] is None)
-    return _Compiled(moves, steps, epsilon)
+        steps[from_id][top_id] = tuple(row)
+        epsilon[from_id][top_id] = tuple(step for step in row if step[0] is None)
+    return _Compiled(steps, epsilon)
 
 
 def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
@@ -132,7 +128,7 @@ def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         if ch not in m.input_alphabet:
             raise ValueError(f"input character {ch!r} is not in the alphabet")
 
-    moves = _compile(m).moves
+    steps = _compile(m).steps
     n = len(w)
     max_configs = limits.max_configs
     max_depth = limits.max_stack_depth
@@ -158,18 +154,18 @@ def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
             continue
         ch = w[pos] if pos < n else None
         rest = stack[1:]
-        for inp, push, to, t in moves[state][stack[0]]:
+        height = len(stack)
+        for inp, to, new_top, tail, growth, t in steps[state][stack[0]]:
             if inp is None:
                 at = pos
             elif inp == ch:
                 at = pos + 1
             else:
                 continue
-            successor_stack = push + rest
-            if len(successor_stack) > max_depth:
+            if height + growth > max_depth:
                 pruned = True
                 continue
-            successor = (to, at, successor_stack)
+            successor = (to, at, rest if new_top is None else (new_top, *tail, *rest))
             if successor in parents:
                 continue
             parents[successor] = (config, t)
@@ -190,7 +186,7 @@ def _step(table, groups: dict, max_depth: int, filed: dict, over: set) -> bool:
         if not height:
             emptied = True
             continue
-        for inp, to, new_top, tail, growth in table[state][top]:
+        for inp, to, new_top, tail, growth, _ in table[state][top]:
             if height + growth > max_depth:
                 over.add(inp)
                 continue

@@ -4,7 +4,8 @@ The main route turns a single-state PDA into a grammar one production per
 transition.  The direct multistate route builds the same kind of triple
 grammar in one step and serves as an independent cross-check, so it shares
 no conversion code with the staged route.  Pruning removes useless symbols
-without changing the language.
+without changing the language.  Neither route records where a production
+came from: each spells its row or move, and ``render`` reads it back.
 """
 
 from __future__ import annotations
@@ -24,16 +25,10 @@ def sspda_to_cfg(sspda: SingleStatePda) -> Cfg:
     Variables are the stack symbols, terminals the input alphabet, and the
     start variable the start marker ``Zs``.
     """
-    productions: set[Production] = set()
-    origins: dict[Production, tuple[str, ...]] = {}
-    for t in sspda.transitions:
-        head = str(t.pop)
-        body = ((t.input,) if t.input is not None else ()) \
-            + tuple(str(s) for s in t.push)
-        productions.add((head, body))
-        origins[(head, body)] = (str(t),)
-    return Cfg((str(s) for s in sspda.stack_alphabet), sspda.input_alphabet, productions,
-               START, origins)
+    productions = {
+        (str(t.pop), ((t.input,) if t.input is not None else ()) + tuple(map(str, t.push)))
+        for t in sspda.transitions}
+    return Cfg(map(str, sspda.stack_alphabet), sspda.input_alphabet, productions, START)
 
 
 def pda_to_cfg(pda: Pda) -> Cfg:
@@ -53,12 +48,8 @@ def classical_pda_to_cfg(pda: Pda) -> Cfg:
     start = "S" if "S" not in pda.input_alphabet else "S0"
     states = sorted(pda.states)
 
-    productions: set[Production] = set()
-    origins: dict[Production, tuple[str, ...]] = {}
-    for s in states:
-        prod = (start, (f"[{pda.start_state},{pda.start_stack},{s}]",))
-        productions.add(prod)
-        origins[prod] = ("start seeding",)
+    productions: set[Production] = {
+        (start, (f"[{pda.start_state},{pda.start_stack},{s}]",)) for s in states}
     # A pop move is the l = 0 case: one empty choice, so its head ends in
     # the move's own target state and its body is the input alone.
     for move in sorted(pda.transitions, key=str):
@@ -69,12 +60,11 @@ def classical_pda_to_cfg(pda: Pda) -> Cfg:
                                   for i, sym in enumerate(move.push))
             prod = (f"[{move.from_state},{move.pop},{links[-1]}]", body)
             productions.add(prod)
-            origins.setdefault(prod, (str(move),))
 
     variables = {start} | {
         f"[{p},{base},{q}]"
         for p in pda.states for base in pda.stack_alphabet for q in pda.states}
-    return Cfg(variables, pda.input_alphabet, productions, start, origins)
+    return Cfg(variables, pda.input_alphabet, productions, start)
 
 
 def generating_variables(cfg: Cfg) -> frozenset[str]:
@@ -109,8 +99,5 @@ def prune_useless(cfg: Cfg) -> Cfg:
     kept = _generating_rules(cfg)
     gen = {head for head, _ in kept}
     reached = reachable_symbols(Cfg(gen | {cfg.start}, cfg.terminals, kept, cfg.start))
-    productions = frozenset((h, b) for h, b in kept if h in reached)
-    origins = None
-    if cfg.origins is not None:
-        origins = {p: cfg.origins[p] for p in productions if p in cfg.origins}
-    return Cfg((gen & reached) | {cfg.start}, cfg.terminals, productions, cfg.start, origins)
+    productions = [(h, b) for h, b in kept if h in reached]
+    return Cfg((gen & reached) | {cfg.start}, cfg.terminals, productions, cfg.start)

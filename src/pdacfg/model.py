@@ -11,13 +11,14 @@ equality and use as set elements work throughout.
 ``Transition``, ``Triple`` and ``Configuration`` are named tuples: they
 compare, hash and order as the tuples of their fields.  ``Pda``,
 ``SingleStatePda`` and ``Cfg`` are ``_Record`` classes instead, because
-they equal only records of their own type and a grammar's diagnostic map
-(``origins``) stays out of its equality.
+they equal only records of their own type.  No record stores where its
+parts came from: a construction's rows and productions spell it, and
+``render`` reads it back off them.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 QM = "qm"  # canonical name of the sole state of a single-state PDA
 
@@ -42,20 +43,18 @@ class _Record:
     equality.
 
     Each subclass lists its fields in ``_fields`` (and ``__slots__``), in
-    constructor order, and those that equality and hashing read in
-    ``_compared``.  ``repr`` shows every field.
+    constructor order; equality, hashing and ``repr`` read every field.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _compared: tuple[str, ...] = ()
 
     def _set(self, *values) -> None:
         for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -108,7 +107,7 @@ class Pda(_Record):
     constructible and reported by ``validate_pda``.
     """
 
-    __slots__ = _fields = _compared = (
+    __slots__ = _fields = (
         "states", "input_alphabet", "stack_alphabet", "transitions",
         "start_state", "start_stack")
 
@@ -150,10 +149,10 @@ class SingleStatePda(_Record):
     Its moves are ordinary transitions from ``qm`` to ``qm`` over the stack
     symbols ``Zs`` and triples, and it answers ``states``, ``start_state``
     and ``start_stack`` as a ``Pda`` does; those are fixed, so they are class
-    attributes rather than fields.  Equality reads all three fields.
+    attributes rather than fields.
     """
 
-    __slots__ = _fields = _compared = ("input_alphabet", "stack_alphabet", "transitions")
+    __slots__ = _fields = ("input_alphabet", "stack_alphabet", "transitions")
 
     states = frozenset({QM})
     start_state = QM
@@ -182,23 +181,18 @@ class Cfg(_Record):
     Variables and terminals are disjoint; a production body is a tuple of
     symbols, and the empty tuple denotes an epsilon production.  The three
     sets may be given as any iterables; they are stored as frozensets, and
-    no validation happens here.  ``origins`` optionally maps productions to
-    human-readable descriptions of where they came from (diagnostic only,
-    excluded from equality).
+    no validation happens here.
     """
 
-    __slots__ = _fields = ("variables", "terminals", "productions", "start", "origins")
-    _compared = _fields[:4]
+    __slots__ = _fields = ("variables", "terminals", "productions", "start")
 
     variables: frozenset[str]
     terminals: frozenset[str]
     productions: frozenset[Production]
     start: str
-    origins: Optional[Mapping[Production, tuple[str, ...]]]
 
-    def __init__(self, variables, terminals, productions, start, origins=None):
-        self._set(frozenset(variables), frozenset(terminals), frozenset(productions),
-                  start, origins)
+    def __init__(self, variables, terminals, productions, start):
+        self._set(frozenset(variables), frozenset(terminals), frozenset(productions), start)
 
 
 class Configuration(NamedTuple):

@@ -206,7 +206,7 @@ def parse_sspda(text: str) -> SingleStatePda:
         text, lambda tok: tok if tok == QM else None, parse_ss_symbol)
     # Before the references, so a missing Zs is reported at the stack
     # header rather than at its first use.
-    if "Zs" not in declared["stack symbol"]:
+    if START not in declared["stack symbol"]:
         raise ParseError(headers["stack"][0], "stack alphabet must contain Zs")
     _, start_stack, moves = _parse_references(headers, move_lines, declared)
     if start_stack != START:
@@ -329,17 +329,38 @@ def _header_line(name: str, symbols) -> str:
     return f"{name}: {rest}" if rest else f"{name}:"
 
 
-def _row_note(row: Transition) -> str:
-    """The ``# from:`` note of the rule and move read off a row, if any."""
+def _note(row: Transition, spell) -> str:
+    """The ``# from:`` note ``spell`` makes of the move read off ``row``
+    (None for a seeding row); none if no move builds the row or ``spell``
+    makes nothing of its move."""
     from .singlestate import source_move
 
     try:
-        move = source_move(row)
+        text = spell(source_move(row))
     except ValueError:
         return ""
-    if move is None:
-        return "  # from: rule3"
-    return f"  # from: rule{2 if move.push else 1} {move}"
+    return f"  # from: {text}" if text else ""
+
+
+def _rule(move: Optional[Transition]) -> str:
+    """A single-state row's note: the rule that built it, and its move."""
+    return "rule3" if move is None else f"rule{2 if move.push else 1} {move}"
+
+
+def _production_note(cfg: Cfg, head: str, body: tuple[str, ...]) -> str:
+    """The note of a production ``[p,X,q] -> a gamma``, decoded as the row
+    ``qm a [p,X,q] -> qm gamma``: the row itself in a grammar whose start is
+    ``Zs``, else the move it reads back to, and ``start seeding`` for a
+    start production of one triple."""
+    if (head == cfg.start != START and len(body) == 1
+            and isinstance(parse_ss_symbol(body[0]), Triple)):
+        return "  # from: start seeding"
+    inp = body[0] if body and body[0] in cfg.terminals else None
+    pop, *push = map(parse_ss_symbol, (head, *body[inp is not None:]))
+    if pop is None or None in push:
+        return ""
+    row = Transition(QM, inp, pop, QM, tuple(push))
+    return _note(row, lambda move: row if cfg.start == START else move)
 
 
 def _render_automaton(m: Union[Pda, SingleStatePda], verbose: bool) -> str:
@@ -352,7 +373,7 @@ def _render_automaton(m: Union[Pda, SingleStatePda], verbose: bool) -> str:
         f"startstack: {m.start_stack}",
     ]
     for text, t in sorted(((str(t), t) for t in m.transitions), key=lambda row: row[0]):
-        lines.append(text + _row_note(t) if noted else text)
+        lines.append(text + _note(t, _rule) if noted else text)
     return "\n".join(lines) + "\n"
 
 
@@ -371,10 +392,8 @@ def _render_cfg(cfg: Cfg, verbose: bool) -> str:
         bodies = sorted(by_head[head], key=_body_text)
         if verbose:
             for body in bodies:
-                line = f"{head} -> {_body_text(body)}"
-                if cfg.origins and (head, body) in cfg.origins:
-                    line += "  # from: " + "; ".join(cfg.origins[(head, body)])
-                prod_lines.append(line)
+                prod_lines.append(f"{head} -> {_body_text(body)}"
+                                  + _production_note(cfg, head, body))
         else:
             prod_lines.append(f"{head} -> " + " | ".join(_body_text(b) for b in bodies))
 
@@ -397,8 +416,10 @@ def _render_cfg(cfg: Cfg, verbose: bool) -> str:
 def render(obj: Union[Pda, SingleStatePda, Cfg], verbose: bool = False) -> str:
     """Canonical text for an automaton or grammar.
 
-    With ``verbose``, single-state rows and constructed productions carry
-    trailing ``# from: ...`` comments saying where each came from.
+    With ``verbose``, single-state rows and grammar productions carry
+    trailing ``# from: ...`` comments saying where each came from, read
+    back off the row or production itself; one that no construction builds
+    carries none.
     """
     if isinstance(obj, (Pda, SingleStatePda)):
         return _render_automaton(obj, verbose)

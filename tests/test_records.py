@@ -42,7 +42,7 @@ RECORDS = [
      "transitions=frozenset())"),
     (lambda: Cfg({"S"}, {"a"}, {("S", ("a",))}, "S"),
      "Cfg(variables=frozenset({'S'}), terminals=frozenset({'a'}), "
-     "productions=frozenset({('S', ('a',))}), start='S', origins=None)"),
+     "productions=frozenset({('S', ('a',))}), start='S')"),
     (lambda: Limits(7, 3), "Limits(max_configs=7, max_stack_depth=3)"),
     (lambda: Verdict("accepted", witness=(Transition("q0", "a", "Z", "q0", ("A",)),)),
      f"Verdict(kind='accepted', witness=({MOVE},), reason='')"),
@@ -91,17 +91,13 @@ def test_a_record_hashes_as_the_tuple_of_its_compared_fields():
 
 def test_diagnostic_maps_stay_out_of_equality_and_hashing():
     productions = {("S", ("a",))}
-    plain = Cfg({"S"}, {"a"}, productions, "S")
-    noted = Cfg({"S"}, {"a"}, productions, "S", origins={("S", ("a",)): ("x",)})
-    assert plain == noted and hash(plain) == hash(noted)
-    assert noted.origins == {("S", ("a",)): ("x",)}
-
     assert Cfg({"S"}, {"a"}, productions, "S") != Cfg({"S"}, {"a"}, set(), "S")
-    # A single-state automaton keeps no diagnostic map: each row spells its
-    # source move, so equality reads every field.
-    assert SingleStatePda._compared == SingleStatePda._fields
+    # No record keeps a diagnostic map: each row and each production spells
+    # where it came from, so equality reads every field.
     with pytest.raises(TypeError):
         SingleStatePda(frozenset({"a"}), frozenset({"Zs"}), frozenset(), {"row": ("record",)})
+    with pytest.raises(TypeError):
+        Cfg({"S"}, {"a"}, productions, "S", {("S", ("a",)): ("x",)})
 
 
 def test_a_pda_freezes_the_sets_it_is_given():

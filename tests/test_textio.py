@@ -10,10 +10,13 @@ from pdacfg import (
     Transition,
     Triple,
     builtin_corpus,
+    classical_pda_to_cfg,
     parse_cfg,
     parse_pda,
     parse_source,
     parse_sspda,
+    pda_to_cfg,
+    prune_useless,
     render,
     to_single_state,
 )
@@ -162,12 +165,32 @@ def test_rows_no_move_builds_render_without_a_note():
 
 
 def test_verbose_cfg_render_carries_provenance_comments():
-    from pdacfg import pda_to_cfg
-
     cfg = pda_to_cfg(parse_pda(P1_TEXT))
     text = render(cfg, verbose=True)
     assert "# from: qm" in text
     assert parse_cfg(text) == cfg
+
+
+def test_verbose_notes_depend_only_on_the_grammar(corpus):
+    # a parsed grammar is noted as the grammar it equals, on either route,
+    # pruned or not
+    for name, entry in corpus.items():
+        for built in (pda_to_cfg(entry.pda), classical_pda_to_cfg(entry.pda)):
+            for cfg in (built, prune_useless(built)):
+                noted = render(cfg, verbose=True)
+                assert render(parse_cfg(render(cfg)), verbose=True) == noted, name
+
+
+def test_productions_no_construction_builds_render_without_a_note():
+    # a unit production between plain variables, in a grammar started by S
+    cfg = parse_cfg("S -> A | [p,X,q]\nA -> a\n[p,X,q] -> b\n")
+    assert render(cfg, verbose=True).splitlines() == [
+        "start: S", "A -> a", "S -> A", "S -> [p,X,q]  # from: start seeding",
+        "[p,X,q] -> b  # from: p b X -> q eps"]
+    # a production pushing Zs, in a grammar started by Zs
+    cfg = parse_cfg("Zs -> [p,X,q]\n[p,X,q] -> a Zs\n")
+    assert render(cfg, verbose=True).splitlines() == [
+        "Zs -> [p,X,q]  # from: qm eps Zs -> qm [p,X,q]", "[p,X,q] -> a Zs"]
 
 
 def test_parse_source_distinguishes_the_three_formats():
