@@ -14,17 +14,17 @@ import importlib
 
 # Every public name, under the module defining it; ``__all__`` is read off
 # this table.  A name is imported on first use, so a process loads only the
-# layers it touches.
+# layers it touches: grammar-side names never load the simulator in
+# ``engine``, and checking names never load ``corpus``.
 _EXPORTS = {
-    "engine": ("DEFAULT_LIMITS", "Limits", "Verdict", "accepts", "cfg_member",
-               "derivable_strings", "enumerate_language", "replay_configurations",
-               "strings_up_to"),
+    "corpus": ("P1_TEXT", "builtin_corpus", "random_cfg", "random_pda"),
+    "engine": ("Verdict", "accepts", "cfg_member", "replay_configurations"),
     "grammar": ("classical_pda_to_cfg", "generating_variables", "pda_to_cfg",
                 "prune_useless", "reachable_symbols", "sspda_to_cfg"),
-    "harness": ("EquivalenceReport", "P1_TEXT", "builtin_corpus", "differential_check",
-                "random_cfg", "random_pda", "routes"),
-    "model": ("QM", "START", "Cfg", "Configuration", "Pda", "SingleStatePda",
-              "Transition", "Triple", "validate_pda"),
+    "harness": ("EquivalenceReport", "differential_check", "routes"),
+    "language": ("derivable_strings", "enumerate_language", "strings_up_to"),
+    "model": ("DEFAULT_LIMITS", "QM", "START", "Cfg", "Configuration", "Limits", "Pda",
+              "SingleStatePda", "Transition", "Triple", "validate_pda"),
     "singlestate": ("size_stats", "to_single_state"),
     "textio": ("ParseError", "parse_cfg", "parse_pda", "parse_source", "parse_sspda",
                "render"),

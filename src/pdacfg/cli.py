@@ -10,8 +10,11 @@ or mismatches found, 2 inconclusive, 64 usage error, 65 parse or validation
 error.  Diagnostics go to stderr; payload goes to stdout, and nothing is
 written on a parse error.
 
-The conversions and the harness are imported by the commands that call
-them, so ``run``, ``member`` and ``enum`` start without loading them.
+Each command imports the layers it calls when it runs, so a process
+compiles only those: the top imports only ``model`` and ``textio``.  ``run``
+and ``member`` load the deciders in ``engine``; ``enum`` loads
+``language``, which loads ``engine`` only for an automaton; ``convert``
+loads the conversions, and ``check`` the harness and the simulator.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import DEFAULT_LIMITS, Limits, accepts, cfg_member, enumerate_language
-from .model import Cfg, Pda, SingleStatePda
+from .model import DEFAULT_LIMITS, Cfg, Limits, Pda, SingleStatePda
 from .textio import ParseError, parse_pda, parse_source, render
 
 EXIT_OK = 0
@@ -166,6 +168,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .engine import accepts
+
     automaton = _load(args.pda, "an automaton", Pda, SingleStatePda)
     limits = Limits(args.max_configs, args.max_depth)
     verdict = accepts(automaton, args.string, limits)
@@ -181,6 +185,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_member(args) -> int:
+    from .engine import cfg_member
+
     cfg = _load(args.cfg, "a grammar", Cfg)
     if cfg_member(cfg, args.string):
         print("member", file=sys.stderr)
@@ -190,6 +196,8 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_enum(args) -> int:
+    from .language import enumerate_language
+
     source = parse_source(_read(args.source))
     limits = Limits(args.max_configs, args.max_depth)
     members, complete = enumerate_language(source, args.max_len, limits)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 
-from .engine import _generating_rules, _heads_derived_from
+from .language import _generating_rules, _heads_derived_from
 from .model import Cfg, Pda, Production, SingleStatePda, START
 from .singlestate import _check_convertible, to_single_state
 

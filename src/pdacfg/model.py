@@ -10,8 +10,8 @@ equality and use as set elements work throughout.
 
 ``Transition``, ``Triple`` and ``Configuration`` are named tuples: they
 compare, hash and order as the tuples of their fields.  ``Pda``,
-``SingleStatePda`` and ``Cfg`` are ``_Record`` classes instead, because
-they equal only records of their own type.  No record stores where its
+``SingleStatePda``, ``Cfg`` and the simulator's ``Limits`` are ``_Record``
+classes instead, because they equal only records of their own type.  No record stores where its
 parts came from: a construction's rows and productions spell it, and
 ``render`` reads it back off them.
 """
@@ -76,6 +76,24 @@ class _Record:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Limits(_Record):
+    """Search bounds for the PDA simulator; both must be positive.  They
+    live here so that the CLI reads their defaults without ``engine``."""
+
+    __slots__ = _fields = ("max_configs", "max_stack_depth")
+
+    max_configs: int
+    max_stack_depth: int
+
+    def __init__(self, max_configs: int = 100_000, max_stack_depth: int = 64):
+        if max_configs <= 0 or max_stack_depth <= 0:
+            raise ValueError("limits must be positive")
+        self._set(max_configs, max_stack_depth)
+
+
+DEFAULT_LIMITS = Limits()
 
 
 class Transition(NamedTuple):

@@ -32,7 +32,7 @@ from pdacfg import (
     strings_up_to,
     to_single_state,
 )
-from pdacfg import engine
+from pdacfg import engine, language
 
 from strategies import cfgs, pdas
 
@@ -251,14 +251,14 @@ def test_the_fixpoint_on_families_that_blow_up_bottom_up(cfg, max_len, language)
 
 def test_the_fixpoint_forms_only_strings_the_start_can_use(monkeypatch):
     formed = []
-    concatenations = engine._concatenations
+    concatenations = language._concatenations
 
     def recording(prefixes, bound, *parts):
         joined = concatenations(prefixes, bound, *parts)
         formed.extend(w for strings in joined.values() for w in strings)
         return joined
 
-    monkeypatch.setattr(engine, "_concatenations", recording)
+    monkeypatch.setattr(language, "_concatenations", recording)
     unreachable = {("A", ("d", "A")), ("A", ("d",))}
     cfg = Cfg({"S", "X", "A"}, {"a", "b", "c", "d"},
               {("S", ("c",) * 6 + ("X",))} | _star("a", "b") | unreachable, "S")

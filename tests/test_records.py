@@ -16,7 +16,7 @@ from pdacfg import (
     Triple,
     Verdict,
 )
-from pdacfg.harness import CorpusEntry
+from pdacfg.corpus import CorpusEntry
 from pdacfg.singlestate import SizeStats
 
 MOVE = "Transition(from_state='q0', input='a', pop='Z', to_state='q0', push=('A',))"
