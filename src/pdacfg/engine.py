@@ -4,9 +4,11 @@ PDA membership runs as a bounded breadth-first search over configurations
 and answers Accepted, Rejected, or Inconclusive; the search never lies, it
 forfeits Rejected the moment a limit prunes anything.  An automaton's
 transitions are indexed once per query, with states and stack symbols
-interned to ints, and a bounded language is one query; no call leaves state
-behind.  Grammar membership goes to an Earley chart recognizer that handles
-epsilon productions, unit cycles, and left recursion natively and always
+interned to ints, and a bounded language is one query, save that each
+string past the configuration budget gets its own ``accepts`` search,
+which indexes the automaton again; no call leaves state behind.  Grammar
+membership goes to an Earley chart recognizer that handles epsilon
+productions, unit cycles, and left recursion natively and always
 terminates, so exact questions are best routed through grammars.  A
 membership query builds the columns of the one path its string spells; the
 recognizer drops every rule that can never complete when it is built.
@@ -61,24 +63,18 @@ class Verdict(NamedTuple):
         return self.kind == "inconclusive"
 
 
-class _Compiled(NamedTuple):
-    """An automaton's moves, indexed by state and stack symbol interned to
-    ints; both automaton kinds compile the same way, once per query.
+def _compile(m: Automaton) -> list:
+    """An automaton's moves as ``steps[state id][top id]``, with states and
+    stack symbols interned to ints; both automaton kinds compile the same
+    way, once per query.
 
-    ``steps[state id][top id]`` lists ``(input, to id, new top id, tail,
-    growth, Transition)`` in ``sorted(..., key=str)`` order, the order the
-    search explores moves in; ``tail`` is the push ids after the new top,
-    ``growth`` the change in stack height, and a pop's new top and tail
-    are None.  ``epsilon`` keeps only the steps that read nothing.  The
-    start state and start symbol both have id 0; the other ids matter only
-    while compiling.
+    Each entry lists ``(input, to id, new top id, tail, growth, Transition)``
+    in ``sorted(..., key=str)`` order, the order the search explores moves
+    in; ``tail`` is the push ids after the new top, ``growth`` the change in
+    stack height, and a pop's new top and tail are None.  The start state
+    and start symbol both have id 0; the other ids matter only while
+    compiling.
     """
-
-    steps: list
-    epsilon: list
-
-
-def _compile(m: Automaton) -> _Compiled:
     states = {m.start_state: 0}
     symbols = {m.start_stack: 0}
     rows = defaultdict(list)
@@ -90,11 +86,9 @@ def _compile(m: Automaton) -> _Compiled:
         rows[key].append((t.input, to, push[0], push[1:], len(push) - 1, t) if push
                          else (t.input, to, None, None, -1, t))
     steps = [[() for _ in symbols] for _ in states]
-    epsilon = [[() for _ in symbols] for _ in states]
     for (from_id, top_id), row in rows.items():
         steps[from_id][top_id] = tuple(row)
-        epsilon[from_id][top_id] = tuple(step for step in row if step[0] is None)
-    return _Compiled(steps, epsilon)
+    return steps
 
 
 def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
@@ -112,7 +106,7 @@ def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         if ch not in m.input_alphabet:
             raise ValueError(f"input character {ch!r} is not in the alphabet")
 
-    steps = _compile(m).steps
+    steps = _compile(m)
     n = len(w)
     max_configs = limits.max_configs
     max_depth = limits.max_stack_depth
@@ -159,67 +153,61 @@ def accepts(m: Automaton, w: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     return Verdict("rejected")
 
 
-def _step(table, groups: dict, max_depth: int, filed: dict, over: set) -> bool:
-    """Apply each move of ``table`` once to a whole group, filing the
-    groups it leads to under ``filed[input]`` as new sets: a push sets its
-    tail above every rest, and a pop regroups the rests by their own tops.
-    The inputs of moves that would push past ``max_depth`` go to ``over``.
-    Returns whether one of ``groups`` is an empty stack."""
-    emptied = False
-    for (state, top, height), rests in groups.items():
-        if not height:
-            emptied = True
-            continue
-        for inp, to, new_top, tail, growth, _ in table[state][top]:
-            if height + growth > max_depth:
-                over.add(inp)
-                continue
-            landed = filed[inp]
-            if new_top is not None:
-                key = (to, new_top, height + growth)
-                new = {tail + rest for rest in rests} if tail else set(rests)
-                have = landed.get(key)
-                if have is None:
-                    landed[key] = new
-                else:
-                    have |= new
-            elif height == 1:
-                landed[to, None, 0] = {()}
-            else:
-                for rest in rests:
-                    key = (to, rest[0], height - 1)
-                    have = landed.get(key)
-                    if have is None:
-                        landed[key] = {rest[1:]}
-                    else:
-                        have.add(rest[1:])
-    return emptied
-
-
-def _close(compiled: _Compiled, seeds: dict, budget: int, max_depth: int, letters):
+def _close(steps, seeds: dict, budget: int, max_depth: int, letters):
     """The configurations ``accepts`` reaches at one input position, as
     groups ``{(state id, top id, height): set of rests}``, a rest being the
     ids below the top; an empty stack is ``(state id, None, 0): {()}``.
     ``seeds``, the groups the previous letter led to, grow in place into
     the position's groups in semi-naive rounds, each moving only the rests
-    new in the round before: epsilon moves file into the position, reading
-    moves into the seeds of the next.  Returns None once the position
-    holds more than ``budget`` configurations; otherwise how many it holds,
-    whether one has an empty stack, whether an epsilon move pushed past
-    ``max_depth``, the seeds each of ``letters`` leads to, and the letters
-    whose moves pushed past it.  ``letters`` is empty at the last position.
+    new in the round before.  Each move applies once to a whole group and
+    is filed under its input, if the position has a slot for it: epsilon
+    moves under None, into the position, and reading moves under the next
+    letter, into the seeds of the next position.  A push sets its tail
+    above every rest, and a pop regroups the rests by their own tops.
+    Returns None once the position holds more than ``budget``
+    configurations; otherwise how many it holds, whether one has an empty
+    stack, whether an epsilon move pushed past ``max_depth``, the seeds
+    each of ``letters`` leads to, and the letters whose moves pushed past
+    it.  ``letters`` is empty at the last position.
     """
     count = sum(map(len, seeds.values()))
     if count > budget:
         return None
-    table = compiled.steps if letters else compiled.epsilon
     groups = new_groups = seeds
     filed: dict = {ch: {} for ch in letters}
     over: set = set()
     accepting = False
     while new_groups:
         filed[None] = stepped = {}
-        accepting = _step(table, new_groups, max_depth, filed, over) or accepting
+        for (state, top, height), rests in new_groups.items():
+            if not height:
+                accepting = True
+                continue
+            for inp, to, new_top, tail, growth, _ in steps[state][top]:
+                landed = filed.get(inp)
+                if landed is None:
+                    continue
+                if height + growth > max_depth:
+                    over.add(inp)
+                    continue
+                if new_top is not None:
+                    key = (to, new_top, height + growth)
+                    new = {tail + rest for rest in rests} if tail else set(rests)
+                    have = landed.get(key)
+                    if have is None:
+                        landed[key] = new
+                    else:
+                        have |= new
+                elif height == 1:
+                    landed[to, None, 0] = {()}
+                else:
+                    for rest in rests:
+                        key = (to, rest[0], height - 1)
+                        have = landed.get(key)
+                        if have is None:
+                            landed[key] = {rest[1:]}
+                        else:
+                            have.add(rest[1:])
         new_groups = {}
         for key, new in stepped.items():
             have = groups.get(key)
@@ -253,7 +241,7 @@ def _simulate_language(m: Automaton, max_len: int,
     may still accept before its budget runs out, so every string under that
     prefix is asked of ``accepts`` itself.
     """
-    compiled = _compile(m)
+    steps = _compile(m)
     alphabet = m.input_alphabet
     max_configs, max_depth = limits.max_configs, limits.max_stack_depth
     accepted: set[str] = set()
@@ -261,7 +249,7 @@ def _simulate_language(m: Automaton, max_len: int,
     pending = [("", {(0, 0, 1): {()}}, 0, False)]
     while pending:
         prefix, seeds, explored, pruned = pending.pop()
-        closed = _close(compiled, seeds, max_configs - explored, max_depth,
+        closed = _close(steps, seeds, max_configs - explored, max_depth,
                         alphabet if len(prefix) < max_len else ())
         if closed is None:
             for tail in strings_up_to(alphabet, max_len - len(prefix)):

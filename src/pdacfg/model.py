@@ -167,7 +167,8 @@ class SingleStatePda(_Record):
     Its moves are ordinary transitions from ``qm`` to ``qm`` over the stack
     symbols ``Zs`` and triples, and it answers ``states``, ``start_state``
     and ``start_stack`` as a ``Pda`` does; those are fixed, so they are class
-    attributes rather than fields.
+    attributes rather than fields.  The three sets may be given as any
+    iterables; they are stored as frozensets.
     """
 
     __slots__ = _fields = ("input_alphabet", "stack_alphabet", "transitions")
@@ -181,7 +182,7 @@ class SingleStatePda(_Record):
     transitions: frozenset[Transition]
 
     def __init__(self, input_alphabet, stack_alphabet, transitions):
-        self._set(input_alphabet, stack_alphabet, transitions)
+        self._set(frozenset(input_alphabet), frozenset(stack_alphabet), frozenset(transitions))
 
     @property
     def provenance(self) -> dict:

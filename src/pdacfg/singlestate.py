@@ -60,7 +60,7 @@ def to_single_state(pda: Pda) -> SingleStatePda:
     symbols = {START} | {
         Triple(p, base, q)
         for p in pda.states for base in pda.stack_alphabet for q in pda.states}
-    return SingleStatePda(pda.input_alphabet, frozenset(symbols), frozenset(rows))
+    return SingleStatePda(pda.input_alphabet, symbols, rows)
 
 
 def source_move(row: Transition) -> Optional[Transition]:

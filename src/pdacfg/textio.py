@@ -215,9 +215,9 @@ def parse_sspda(text: str) -> SingleStatePda:
         if START in push:
             raise ParseError(lineno, "Zs cannot be pushed")
     return SingleStatePda(
-        input_alphabet=frozenset(declared["input symbol"]),
-        stack_alphabet=frozenset(declared["stack symbol"].values()),
-        transitions=frozenset(Transition(*move) for _, move in moves),
+        input_alphabet=declared["input symbol"],
+        stack_alphabet=declared["stack symbol"].values(),
+        transitions=(Transition(*move) for _, move in moves),
     )
 
 

@@ -510,6 +510,15 @@ def test_grouped_walk_matches_per_string_searches_on_single_state_forms(
                                     Limits(max_configs, max_stack_depth))
 
 
+def test_the_walk_skips_a_move_that_reads_an_undeclared_letter():
+    # No string over the alphabet can take the move on "c", so every search
+    # skips it, and so must the walk.
+    pda = Pda({"q"}, {"a"}, {"Z"}, {Transition("q", "c", "Z", "q", ()),
+                                    Transition("q", "a", "Z", "q", ())}, "q", "Z")
+    assert enumerate_language(pda, 2) == ({"a"}, True)
+    _assert_walk_matches_per_string(pda, 2, DEFAULT_LIMITS)
+
+
 def reachable(m, w, max_depth):
     """How many configurations a search of ``w`` reaches if it never stops
     at acceptance and has no configuration budget."""

@@ -109,6 +109,14 @@ def test_a_pda_freezes_the_sets_it_is_given():
     assert isinstance(built.transitions, frozenset)
 
 
+def test_a_single_state_pda_freezes_the_sets_it_is_given():
+    row = Transition("qm", "a", "Zs", "qm", ())
+    built = SingleStatePda(["a"], {"Zs"}, {row})
+    frozen = SingleStatePda(frozenset({"a"}), frozenset({"Zs"}), frozenset({row}))
+    assert built == frozen and hash(built) == hash(frozen)
+    assert isinstance(built.transitions, frozenset)
+
+
 def test_a_grammar_freezes_the_sets_it_is_given():
     built = Cfg(["S", "A"], ["a"], [("S", ("A", "a")), ("A", ())], "S")
     frozen = Cfg(frozenset({"S", "A"}), frozenset({"a"}),
