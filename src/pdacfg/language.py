@@ -1,9 +1,9 @@
 """Bounded languages: the strings up to a length bound that a grammar or an
 automaton accepts.
 
-A grammar's is the least solution of its equations, evaluated bottom up over
-strings bucketed by length (``derivable_strings``); it shares no code with
-the Earley recognizer in ``engine``, so each checks the other.  An
+A grammar's is the least solution of its equations, evaluated one length
+at a time over its two-symbol rules (``derivable_strings``); it shares no
+code with the Earley recognizer in ``engine``, so each checks the other.  An
 automaton's is one walk of the bounded simulator in ``engine``, imported
 only when an automaton is asked, so a process that reads only grammars
 never compiles the simulator.  The recognizer and grammar pruning share
@@ -61,129 +61,76 @@ def derivable_strings(cfg: Cfg, max_len: int) -> set[str]:
     This is the one bounded enumerator of a grammar: ``enum``, ``check``
     and ``differential_check`` read grammar languages from it.  A grammar's
     language is the least solution of its equations (Ginsburg and Rice,
-    1962), computed bottom up after two small fixpoints trim the grammar.
-    The first gives each variable its least yield, the length of its
-    shortest string; a variable with none within the bound derives nothing
-    here.  The second, from the start, caps each variable it reaches at
-    ``max_len`` less the least yield of the symbols around each of its
-    uses, so a variable used only after a long fixed prefix computes no
-    strings it cannot use.  Rules the start never reaches, or that cannot
-    fit under their head's cap, are dropped.
-
-    Each variable's strings are kept in buckets by length, and bodies are
-    concatenated bucket by bucket, never forming a string longer than the
-    head's cap less the least yield of the symbols still to come.  Rounds
-    are semi-naive: a round puts the strings new since the last round at
-    one body position, the older strings at the positions before it and
-    all strings at those after it, so no tuple of strings is concatenated
-    twice; round 0 counts every letter and every empty body as new.  The
-    rounds stop when one finds nothing new.  A body symbol that is neither
-    a variable nor a terminal derives nothing.  Shares no code with the
-    chart recognizer, so Earley ``member`` cross-checks it.
+    1962), computed here one length at a time over the grammar in two-symbol
+    rules, as CYK fills its table (Younger, 1967).  A body longer than two
+    symbols becomes a chain of two-symbol rules over fresh variables, each
+    the tuple of the symbols it stands for, so none clashes with a string
+    symbol.  The strings of length 0 are those of the nullable symbols.  At
+    each length n >= 1 in turn, every two-symbol body joins its symbols'
+    strings of lengths i and n - i for 0 < i < n, all already final; then
+    the strings of length n pass from a body symbol to its head wherever
+    the rest of the body is nullable, until nothing grows.  No join reaches
+    past twice the longest length that holds a string, so the walk stops
+    there, and a finite language is answered at once at any bound.  Every
+    variable's strings are computed, not only those the start can use.  A
+    body symbol that is neither a variable nor a terminal derives nothing.
+    Shares no code with the chart recognizer, so Earley ``member``
+    cross-checks it.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    variables, terminals = cfg.variables, cfg.terminals
-    least: dict[str, int] = {}
+    symbols = cfg.variables | cfg.terminals
+    rules = set()
+    for head, body in cfg.productions:
+        if all(sym in symbols for sym in body):
+            while len(body) > 2:
+                rules.add((head, (body[0], body[1:])))
+                head, body = body[1:], body[1:]
+            rules.add((head, body))
 
-    def body_yield(body):
-        total = 0
-        for sym in body:
-            if sym in terminals:
-                total += 1
-            elif sym in variables and sym in least:
-                total += least[sym]
-            else:
-                return None
-        return total
-
+    nullable = set()
     grew = True
     while grew:
         grew = False
-        for head, body in cfg.productions:
-            n = body_yield(body)
-            if n is not None and n < least.get(head, max_len + 1):
-                least[head] = n
+        for head, body in rules:
+            if head not in nullable and all(sym in nullable for sym in body):
+                nullable.add(head)
                 grew = True
 
-    by_head = defaultdict(list)
-    for head, body in cfg.productions:
-        need = body_yield(body)
-        if need is not None:
-            by_head[head].append((body, need))
-    cap = {cfg.start: max_len} if cfg.start in least else {}
-    agenda = list(cap)
-    while agenda:
-        head = agenda.pop()
-        for body, need in by_head[head]:
-            slack = cap[head] - need
-            if slack < 0:
-                continue
-            for sym in body:
-                if sym in variables and least[sym] + slack > cap.get(sym, -1):
-                    cap[sym] = least[sym] + slack
-                    agenda.append(sym)
+    # ``feeds[sym]``: the heads that derive every string ``sym`` does.
+    feeds = defaultdict(set)
+    for head, body in rules:
+        for i, sym in enumerate(body):
+            if all(other in nullable for other in body[:i] + body[i + 1:]):
+                feeds[sym].add(head)
+    pairs = [(head, body) for head, body in rules if len(body) == 2]
 
-    # Each kept rule as its head and, per body position, the symbol and the
-    # longest concatenation up to and including it that can still be used.
-    rules = []
-    for head in cap:
-        for body, need in by_head[head]:
-            if need <= cap[head]:
-                bound, positions = cap[head] - need, []
-                for sym in body:
-                    bound += 1 if sym in terminals else least[sym]
-                    positions.append((sym, bound))
-                rules.append((head, positions))
-
-    # Strings by symbol and length: ``known`` before the last round, and
-    # ``fresh`` new in it.
-    known: dict[str, dict[int, set]] = {sym: {} for sym in (*cap, *terminals)}
-    fresh: dict[str, dict[int, set]] = {sym: {} for sym in known}
-    for sym in terminals:
-        fresh[sym][1] = {sym}
-    for head, positions in rules:
-        if not positions:
-            fresh[head][0] = {""}
-    while any(fresh.values()):
-        found: dict[str, dict[int, set]] = {head: {} for head in cap}
-        for head, positions in rules:
-            older = {0: {""}}
-            for i, (sym, bound) in enumerate(positions):
-                if fresh[sym]:
-                    joined = _concatenations(older, bound, fresh[sym])
-                    for later, later_bound in positions[i + 1:]:
-                        joined = _concatenations(joined, later_bound,
-                                                 known[later], fresh[later])
-                    for n, strings in joined.items():
-                        found[head].setdefault(n, set()).update(strings)
-                older = _concatenations(older, bound, known[sym])
-                if not older:
-                    break
-        for sym, strings_by_len in fresh.items():
-            for n, strings in strings_by_len.items():
-                known[sym].setdefault(n, set()).update(strings)
-            strings_by_len.clear()
-        for head, strings_by_len in found.items():
-            for n, strings in strings_by_len.items():
-                strings -= known[head].get(n, set())
-                if strings:
-                    fresh[head][n] = strings
-    return set().union(*known[cfg.start].values()) if cap else set()
-
-
-def _concatenations(prefixes: dict, bound: int, *parts: dict) -> dict:
-    """Every string of ``prefixes`` followed by one of some part's, up to
-    ``bound`` long; every argument and the result map a length to the
-    strings of that length."""
-    joined: dict[int, set] = {}
-    for n, heads in prefixes.items():
-        for part in parts:
-            for m, tails in part.items():
-                if n + m <= bound:
-                    joined.setdefault(n + m, set()).update(
-                        [u + v for u in heads for v in tails])
-    return joined
+    # ``by_len[n]`` maps each symbol to its strings of length n.
+    by_len = [{sym: {""} for sym in nullable}]
+    longest = 1  # every letter is a string of length 1
+    n = 1
+    while n <= max_len and n <= 2 * longest:
+        layer = defaultdict(set)
+        if n == 1:
+            layer.update((sym, {sym}) for sym in cfg.terminals)
+        for head, (left, right) in pairs:
+            for i in range(1, n):
+                lefts, rights = by_len[i].get(left), by_len[n - i].get(right)
+                if lefts and rights:
+                    layer[head].update(u + v for u in lefts for v in rights)
+        agenda = list(layer.items())
+        while agenda:
+            sym, strings = agenda.pop()
+            for head in feeds[sym]:
+                new = strings - layer[head]
+                if new:
+                    layer[head] |= new
+                    agenda.append((head, new))
+        if any(layer.values()):
+            longest = n
+        by_len.append(layer)
+        n += 1
+    return set().union(*(layer.get(cfg.start, ()) for layer in by_len))
 
 
 def _language(source: LanguageSource, max_len: int,

@@ -101,6 +101,16 @@ def test_enum_lists_the_bounded_language(p1_file, capsys):
     assert capsys.readouterr().out == "\nab\naabb\naaabbb\n"
 
 
+def test_enum_answers_a_finite_language_at_a_huge_bound(tmp_path, capsys):
+    entry = next(e for e in builtin_corpus() if e.name == "P0")
+    pda, cfg = tmp_path / "P0.pda", tmp_path / "P0.cfg"
+    pda.write_text(render(entry.pda))
+    assert main(["convert", str(pda), "-o", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["enum", str(cfg), "--max-len", "99999999999999999999"]) == 0
+    assert capsys.readouterr().out == "a\n"
+
+
 def test_enum_on_an_inconclusive_automaton_exits_2(tmp_path, capsys):
     entry = next(e for e in builtin_corpus() if e.name == "P5")
     path = tmp_path / "P5.pda"

@@ -32,7 +32,7 @@ from pdacfg import (
     strings_up_to,
     to_single_state,
 )
-from pdacfg import engine, language
+from pdacfg import engine
 
 from strategies import cfgs, pdas
 
@@ -244,29 +244,19 @@ def _star(*letters):
      12, {"cccccc" + w for w in strings_up_to("ab", 6)}),
     # A is unreachable from S.
     (random_cfg(665), 10, {"b"}),
+    # The second row with rules for A, which S never reaches.
+    (Cfg({"S", "X", "A"}, {"a", "b", "c", "d"},
+         {("S", ("c",) * 6 + ("X",)), ("A", ("d", "A")), ("A", ("d",))} | _star("a", "b"),
+         "S"),
+     12, {"cccccc" + w for w in strings_up_to("ab", 6)}),
 ])
 def test_the_fixpoint_on_families_that_blow_up_bottom_up(cfg, max_len, language):
     assert derivable_strings(cfg, max_len) == language
 
 
-def test_the_fixpoint_forms_only_strings_the_start_can_use(monkeypatch):
-    formed = []
-    concatenations = language._concatenations
-
-    def recording(prefixes, bound, *parts):
-        joined = concatenations(prefixes, bound, *parts)
-        formed.extend(w for strings in joined.values() for w in strings)
-        return joined
-
-    monkeypatch.setattr(language, "_concatenations", recording)
-    unreachable = {("A", ("d", "A")), ("A", ("d",))}
-    cfg = Cfg({"S", "X", "A"}, {"a", "b", "c", "d"},
-              {("S", ("c",) * 6 + ("X",))} | _star("a", "b") | unreachable, "S")
-    assert derivable_strings(cfg, 12) == {"cccccc" + w for w in strings_up_to("ab", 6)}
-    # X follows six letters, so it is capped at 12 - 6 and forms every
-    # string up to that and none longer; A forms nothing.
-    assert {w for w in formed if "c" not in w} == set(strings_up_to("ab", 6))
-    assert not any("d" in w for w in formed)
+def test_the_fixpoint_answers_a_finite_language_at_a_huge_bound(corpus):
+    # No string is longer than 1, so no join past length 2 can form one.
+    assert derivable_strings(pda_to_cfg(corpus["P0"].pda), 10**20) == {"a"}
 
 
 @pytest.mark.parametrize("name, w, member, columns", [
