@@ -71,31 +71,45 @@ def derivable_strings(cfg: Cfg, max_len: int) -> set[str]:
     the strings of length n pass from a body symbol to its head wherever
     the rest of the body is nullable, until nothing grows.  No join reaches
     past twice the longest length that holds a string, so the walk stops
-    there, and a finite language is answered at once at any bound.  Every
-    variable's strings are computed, not only those the start can use.  A
-    body symbol that is neither a variable nor a terminal derives nothing.
+    there.  Only the rules the start reaches through rules that can complete
+    are kept, so a finite language is answered at once at any bound, and a
+    variable the start cannot use costs nothing.  A body symbol that is
+    neither a variable nor a terminal derives nothing.
     Shares no code with the chart recognizer, so Earley ``member``
     cross-checks it.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    symbols = cfg.variables | cfg.terminals
-    rules = set()
-    for head, body in cfg.productions:
-        if all(sym in symbols for sym in body):
-            while len(body) > 2:
-                rules.add((head, (body[0], body[1:])))
-                head, body = body[1:], body[1:]
-            rules.add((head, body))
 
-    nullable = set()
-    grew = True
-    while grew:
-        grew = False
-        for head, body in rules:
-            if head not in nullable and all(sym in nullable for sym in body):
-                nullable.add(head)
-                grew = True
+    def closure(rules, derived):
+        # The least superset of ``derived`` holding each head whose body it holds.
+        derived, grew = set(derived), True
+        while grew:
+            grew = False
+            for head, body in rules:
+                if head not in derived and all(sym in derived for sym in body):
+                    derived.add(head)
+                    grew = True
+        return derived
+
+    generating = closure(cfg.productions, cfg.terminals)
+    split = defaultdict(set)  # each head's bodies, in two-symbol rules
+    for head, body in cfg.productions:
+        if all(sym in generating for sym in body):
+            while len(body) > 2:
+                split[head].add((body[0], body[1:]))
+                head, body = body[1:], body[1:]
+            split[head].add(body)
+    # Only the rules the start can use: a variable it never reaches could
+    # hold strings at every length and so hold off the stop below.
+    reached, agenda = {cfg.start}, [cfg.start]
+    while agenda:
+        for body in split[agenda.pop()]:
+            new = set(body) - reached
+            reached |= new
+            agenda.extend(new)
+    rules = [(head, body) for head in reached for body in split[head]]
+    nullable = closure(rules, ())
 
     # ``feeds[sym]``: the heads that derive every string ``sym`` does.
     feeds = defaultdict(set)

@@ -106,9 +106,13 @@ def test_enum_answers_a_finite_language_at_a_huge_bound(tmp_path, capsys):
     pda, cfg = tmp_path / "P0.pda", tmp_path / "P0.cfg"
     pda.write_text(render(entry.pda))
     assert main(["convert", str(pda), "-o", str(cfg)]) == 0
+    # A has a string at every length, but S never reaches it.
+    unused = tmp_path / "unused.cfg"
+    unused.write_text("S -> a\nA -> d A\nA -> d\n")
     capsys.readouterr()
-    assert main(["enum", str(cfg), "--max-len", "99999999999999999999"]) == 0
-    assert capsys.readouterr().out == "a\n"
+    for path in (cfg, unused):
+        assert main(["enum", str(path), "--max-len", "99999999999999999999"]) == 0
+        assert capsys.readouterr().out == "a\n"
 
 
 def test_enum_on_an_inconclusive_automaton_exits_2(tmp_path, capsys):

@@ -249,14 +249,20 @@ def _star(*letters):
          {("S", ("c",) * 6 + ("X",)), ("A", ("d", "A")), ("A", ("d",))} | _star("a", "b"),
          "S"),
      12, {"cccccc" + w for w in strings_up_to("ab", 6)}),
+    # P0's staged grammar: no string is longer than 1, so no join past
+    # length 2 can form one.
+    (pda_to_cfg(next(e for e in builtin_corpus() if e.name == "P0").pda), 10**20, {"a"}),
+    # A has a string at every length, but S never reaches it.
+    (Cfg({"S", "A"}, {"a", "d"}, {("S", ("a",)), ("A", ("d", "A")), ("A", ("d",))}, "S"),
+     10**20, {"a"}),
+    # S reaches A only beside B, which derives nothing.
+    (Cfg({"S", "A", "B"}, {"a", "d"},
+         {("S", ("a",)), ("S", ("B", "A")), ("B", ("B",)), ("A", ("d", "A")), ("A", ("d",))},
+         "S"),
+     10**20, {"a"}),
 ])
 def test_the_fixpoint_on_families_that_blow_up_bottom_up(cfg, max_len, language):
     assert derivable_strings(cfg, max_len) == language
-
-
-def test_the_fixpoint_answers_a_finite_language_at_a_huge_bound(corpus):
-    # No string is longer than 1, so no join past length 2 can form one.
-    assert derivable_strings(pda_to_cfg(corpus["P0"].pda), 10**20) == {"a"}
 
 
 @pytest.mark.parametrize("name, w, member, columns", [
