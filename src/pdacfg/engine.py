@@ -10,8 +10,7 @@ which indexes the automaton again; no call leaves state behind.  Grammar
 membership goes to an Earley chart recognizer that handles epsilon
 productions, unit cycles, and left recursion natively and always
 terminates, so exact questions are best routed through grammars.  A
-membership query builds the columns of the one path its string spells; the
-recognizer drops every rule that can never complete when it is built.
+membership query builds the columns of the one path its string spells.
 
 An automaton's bounded language, which ``language`` asks of this module,
 walks the string trie depth first with the configurations the search
@@ -34,8 +33,7 @@ from typing import NamedTuple, Union
 # ``enumerate_language`` is not called here: it is bound for
 # ``perfbench/tracing.py``, whose enumeration span wraps
 # ``engine.enumerate_language``.
-from .language import (_generating_rules, _heads_derived_from, enumerate_language,
-                       strings_up_to)
+from .language import enumerate_language, strings_up_to
 from .model import DEFAULT_LIMITS, Cfg, Configuration, Limits, Pda, SingleStatePda
 
 Automaton = Union[Pda, SingleStatePda]
@@ -312,13 +310,13 @@ class _Recognizer:
     origin)``.  ``_column`` closes column k from its seed items and files
     every item whose dot stands before a symbol under that symbol, so
     completion reads ``columns[origin][head]`` and scanning letter c reads
-    column k's ``c`` entry.  Epsilon follows Aycock and Horspool, "Practical
-    Earley Parsing" (2002): nullable variables are computed once, and an
-    item waiting on one is advanced past it as soon as it is filed, so an
-    empty completion never needs to revisit its own column.  A rule whose
-    body holds a variable that derives no terminal string can never
-    complete, so it is dropped when the recognizer is built; unreachable
-    rules need no such step, since they are never predicted.
+    column k's ``c`` entry.  Epsilon is settled inside the column, with no
+    nullable set computed beforehand: when a variable completes over no
+    input, the items already waiting on it in the column advance past it,
+    and the column remembers the variable, so an item filed on it later
+    advances at once.  No rule is trimmed: one whose body holds a variable
+    that derives no terminal string never gets past it, and one the start
+    cannot reach is never predicted.
 
     ``member`` builds the columns of its string's one path.  Bounded
     enumeration is ``language.derivable_strings``, which shares no code
@@ -327,8 +325,7 @@ class _Recognizer:
 
     def __init__(self, cfg: Cfg):
         self.cfg = cfg
-        productions = sorted(_generating_rules(cfg))
-        self.nullable = _heads_derived_from(productions, frozenset())
+        productions = sorted(cfg.productions)
         # Per dotted rule: the symbol after the dot (None when complete) and
         # the production's head; per variable: its rules with the dot first.
         self.next_symbol: list = []
@@ -349,9 +346,10 @@ class _Recognizer:
         over the whole prefix."""
         k = len(columns)
         next_symbol, heads, predict = self.next_symbol, self.heads, self.predict
-        nullable, variables, start = self.nullable, self.cfg.variables, self.cfg.start
+        variables, start = self.cfg.variables, self.cfg.start
         seen = set()
         waiting: dict = {}
+        empty = set()  # the variables completed over no input in this column
         accepting = False
         agenda = list(seeds)
         while agenda:
@@ -365,11 +363,10 @@ class _Recognizer:
                 head = heads[rule]
                 if origin == 0 and head == start:
                     accepting = True
-                # An empty completion (origin == k) found every waiting
-                # parent already advanced past the nullable head.
-                if origin != k:
-                    agenda.extend([(parent + 1, at) for parent, at
-                                   in columns[origin].get(head, ())])
+                if origin == k:
+                    empty.add(head)
+                parents = waiting if origin == k else columns[origin]
+                agenda.extend([(parent + 1, at) for parent, at in parents.get(head, ())])
                 continue
             filed = waiting.get(sym)
             if filed is None:
@@ -378,7 +375,7 @@ class _Recognizer:
                     agenda.extend([(rule0, k) for rule0 in predict.get(sym, ())])
             else:
                 filed.append(item)
-            if sym in nullable:
+            if sym in empty:
                 agenda.append((rule + 1, origin))
         return waiting, accepting
 

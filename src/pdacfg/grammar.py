@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 
-from .language import _generating_rules, _heads_derived_from
+from .language import _heads_derived_from
 from .model import Cfg, Pda, Production, SingleStatePda, START
 from .singlestate import _check_convertible, to_single_state
 
@@ -96,8 +96,9 @@ def prune_useless(cfg: Cfg) -> Cfg:
     variable survives even when useless, leaving a grammar for the empty
     language.  The terminal alphabet is kept whole, so the pruned grammar
     answers questions over the same letters as the original."""
-    kept = _generating_rules(cfg)
-    gen = {head for head, _ in kept}
+    gen = generating_variables(cfg)
+    kept = [(head, body) for head, body in cfg.productions
+            if all(sym in gen or sym in cfg.terminals for sym in body)]
     reached = reachable_symbols(Cfg(gen | {cfg.start}, cfg.terminals, kept, cfg.start))
     productions = [(h, b) for h, b in kept if h in reached]
     return Cfg((gen & reached) | {cfg.start}, cfg.terminals, productions, cfg.start)

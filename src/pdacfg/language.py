@@ -6,8 +6,9 @@ at a time over its two-symbol rules (``derivable_strings``); it shares no
 code with the Earley recognizer in ``engine``, so each checks the other.  An
 automaton's is one walk of the bounded simulator in ``engine``, imported
 only when an automaton is asked, so a process that reads only grammars
-never compiles the simulator.  The recognizer and grammar pruning share
-the variable fixpoints here.
+never compiles the simulator.  Enumeration and grammar pruning share the
+one variable fixpoint here, ``_heads_derived_from``; the recognizer needs
+no fixpoint, so the two grammar deciders share no code by construction.
 """
 
 from __future__ import annotations
@@ -47,14 +48,6 @@ def _heads_derived_from(productions, given: frozenset) -> frozenset:
     return frozenset(derived)
 
 
-def _generating_rules(cfg: Cfg) -> list:
-    """The productions whose bodies hold only terminals and variables that
-    derive some terminal string: the rules that can ever complete."""
-    generating = _heads_derived_from(cfg.productions, cfg.terminals)
-    return [(head, body) for head, body in cfg.productions
-            if all(sym in generating or sym in cfg.terminals for sym in body)]
-
-
 def derivable_strings(cfg: Cfg, max_len: int) -> set[str]:
     """Every terminal string of length <= max_len the grammar derives.
 
@@ -80,19 +73,7 @@ def derivable_strings(cfg: Cfg, max_len: int) -> set[str]:
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-
-    def closure(rules, derived):
-        # The least superset of ``derived`` holding each head whose body it holds.
-        derived, grew = set(derived), True
-        while grew:
-            grew = False
-            for head, body in rules:
-                if head not in derived and all(sym in derived for sym in body):
-                    derived.add(head)
-                    grew = True
-        return derived
-
-    generating = closure(cfg.productions, cfg.terminals)
+    generating = cfg.terminals | _heads_derived_from(cfg.productions, cfg.terminals)
     split = defaultdict(set)  # each head's bodies, in two-symbol rules
     for head, body in cfg.productions:
         if all(sym in generating for sym in body):
@@ -109,7 +90,7 @@ def derivable_strings(cfg: Cfg, max_len: int) -> set[str]:
             reached |= new
             agenda.extend(new)
     rules = [(head, body) for head in reached for body in split[head]]
-    nullable = closure(rules, ())
+    nullable = _heads_derived_from(rules, frozenset())
 
     # ``feeds[sym]``: the heads that derive every string ``sym`` does.
     feeds = defaultdict(set)

@@ -132,6 +132,28 @@ def test_check_reports_zero_mismatches(p1_file, capsys):
     assert "checked=127" in out
 
 
+def test_check_exits_1_on_a_mismatch(p1_file, monkeypatch, capsys):
+    from pdacfg import Cfg, harness
+
+    routes = harness.routes
+
+    def with_a_wrong_grammar(pda, classical):
+        # P1's staged grammar without [q1,Z,q1] -> eps derives only "".
+        sources = routes(pda, classical)
+        staged = dict(sources)["cfg"]
+        kept = staged.productions - {("[q1,Z,q1]", ())}
+        wrong = Cfg(staged.variables, staged.terminals, kept, staged.start)
+        return sources + [("wrong", wrong)]
+
+    monkeypatch.setattr(harness, "routes", with_a_wrong_grammar)
+    assert main(["check", p1_file, "--max-len", "4"]) == 1
+    assert capsys.readouterr().out == (
+        "mismatches:\n"
+        "  'ab'  pda=yes sspda=yes cfg=yes wrong=no\n"
+        "  'aabb'  pda=yes sspda=yes cfg=yes wrong=no\n"
+        "checked=31 agree=29 mismatch=2 inconclusive=0\n")
+
+
 AGREED_511 = "checked=511 agree=511 mismatch=0 inconclusive=0\n"
 
 # Exit code and stdout of `check --classical --max-len 8` and of
@@ -209,6 +231,8 @@ def test_usage_errors_exit_64(capsys):
     assert main([]) == 64
     assert main(["convert"]) == 64
     capsys.readouterr()
+    assert main(["enum", "any.pda", "--max-len", "1.5"]) == 64
+    assert "usage error: argument --max-len: invalid int value: '1.5'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

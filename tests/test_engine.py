@@ -100,6 +100,9 @@ def test_tampered_witness_is_refused(p1):
     witness = tuple(verdict.witness)[::-1]
     with pytest.raises(ValueError):
         replay_configurations(p1, "ab", witness)
+    # The witness of "ab" replayed against "bb": its first move reads a.
+    with pytest.raises(ValueError, match="does not match the input"):
+        replay_configurations(p1, "bb", verdict.witness)
 
 
 def test_foreign_witness_move_is_refused(p1):
@@ -225,6 +228,9 @@ def test_walk_matches_a_member_loop_on_random_grammars(cfg):
     (Cfg({"S"}, {"a", "b"}, set(), "S"), set()),
     (Cfg({"S"}, set(), {("S", ("S", "S")), ("S", ())}, "S"), {""}),
     (Cfg({"S"}, set(), {("S", ("S",))}, "S"), set()),
+    # S -> a X never completes, since X -> b X derives no terminal string.
+    (Cfg({"S", "X"}, {"a", "b"}, {("S", ("a",)), ("S", ("a", "X")), ("X", ("b", "X"))}, "S"),
+     {"a"}),
 ])
 def test_walk_on_nullable_cycles_and_degenerate_grammars(cfg, language):
     assert _member_loop(cfg, 4) == language
@@ -294,18 +300,6 @@ def test_a_last_column_0_decides_the_empty_string(productions, language):
     cfg = Cfg({"S", "A"}, {"a"}, productions, "S")
     assert enumerate_language(cfg, 0) == (language, True)
     assert cfg_member(cfg, "") == ("" in language)
-
-
-def test_rules_that_never_complete_are_dropped():
-    kept = {("S", ("a",))}
-    never = {("S", ("a", "X")), ("X", ("b", "X"))}
-    cfg = Cfg({"S", "X"}, {"a", "b"}, kept | never, "S")
-    trimmed = Cfg({"S"}, {"a", "b"}, kept, "S")
-    assert enumerate_language(cfg, 4) == enumerate_language(trimmed, 4) == ({"a"}, True)
-    recognizer = engine._Recognizer(cfg)
-    # Only the dotted rules S -> . a and S -> a . are left.
-    assert recognizer.next_symbol == ["a", None]
-    assert recognizer.heads == ["S", "S"]
 
 
 @given(cfgs())

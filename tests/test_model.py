@@ -28,6 +28,22 @@ def test_every_component_gets_checked():
     problems = validate_pda(pda)
     assert any("state name" in p for p in problems)
     assert any("input symbol" in p for p in problems)
+    # One row per further component: (automaton, the problems it has).
+    stray = Transition("q9", "c", "Z", "q8", ())
+    rows = [
+        (Pda(set(), {"a"}, {"Z"}, set(), "q0", "Z"),
+         ["state set is empty", "start state 'q0' is not a declared state"]),
+        (Pda({"q0"}, {"a"}, {"Z"}, set(), "q0", "W"),
+         ["start stack symbol 'W' is not a declared stack symbol"]),
+        (Pda({"q0"}, {"a"}, {"Z,"}, set(), "q0", "Z,"),
+         ["stack symbol 'Z,' is not a valid token"]),
+        (Pda({"q0"}, {"a"}, {"Z"}, {stray}, "q0", "Z"),
+         [f"transition '{stray}' leaves undeclared state 'q9'",
+          f"transition '{stray}' enters undeclared state 'q8'",
+          f"transition '{stray}' reads undeclared input symbol 'c'"]),
+    ]
+    for pda, problems in rows:
+        assert validate_pda(pda) == problems
 
 
 def test_undeclared_push_symbol_is_reported():

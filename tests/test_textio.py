@@ -85,6 +85,8 @@ def test_render_ignores_construction_order():
 
 def test_epsilon_production_renders_as_eps():
     assert render(Cfg({"S"}, set(), {("S", ())}, "S")) == "S -> eps\n"
+    with pytest.raises(TypeError, match="cannot render int"):
+        render(42)
 
 
 def test_parse_cfg_expands_alternatives():
@@ -274,6 +276,28 @@ def test_parse_pda_fault_table(case):
     text, line, message = PDA_FAULTS[case]
     with pytest.raises(ParseError) as err:
         parse_pda(text)
+    assert (err.value.line, err.value.message) == (line, message)
+
+
+# One fault per case: (text, line of the ParseError, exact message).
+CFG_FAULTS = {
+    "malformed line": ("S a b\n", 1,
+                       "malformed production line (want: HEAD -> BODY | BODY ...)"),
+    "invalid head": ("[p,X -> a\n", 1, "invalid variable '[p,X'"),
+    "empty alternative": ("S -> a | | b\n", 1, "empty alternative"),
+    "eps inside body": ("S -> a eps\n", 1, "eps cannot appear inside a body"),
+    "invalid start": ("start: [x\nS -> a\n", 1, "invalid variable '[x'"),
+    "undeclared start": ("variables: S\nstart: T\nS -> a\n", 2, "undeclared variable 'T'"),
+    "variable and terminal": ("variables: S a\nterminals: a\nS -> S\n", None,
+                              "symbol 'a' declared both variable and terminal"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CFG_FAULTS))
+def test_parse_cfg_fault_table(case):
+    text, line, message = CFG_FAULTS[case]
+    with pytest.raises(ParseError) as err:
+        parse_cfg(text)
     assert (err.value.line, err.value.message) == (line, message)
 
 
