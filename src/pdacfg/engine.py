@@ -18,9 +18,11 @@ reaches at each prefix, grouped by state, top and height so that a move
 applies once per group; strings share the work of their common prefixes.
 The walk gives exactly the verdict kinds of per-string searches: while the
 configurations along a path stay within the budget, a string is decided
-from them and from whether any tried move was pruned; once they exceed it,
-every string under that prefix gets its own search.  A prefix with no
-successors settles its whole subtree at once.  A grammar's bounded language
+from them and from whether any tried move on its path was pruned; once they
+exceed it, every string under that prefix gets its own search, asked only
+whether it accepts.  The walk returns the strings accepted and the prefixes
+it could not settle, not every inconclusive string below them, and stops
+below a prefix with no successors.  A grammar's bounded language
 is ``language.derivable_strings``, which shares no code with the
 recognizer, so each checks the other.
 """
@@ -164,9 +166,9 @@ def _close(steps, seeds: dict, budget: int, max_depth: int, letters):
     above every rest, and a pop regroups the rests by their own tops.
     Returns None once the position holds more than ``budget``
     configurations; otherwise how many it holds, whether one has an empty
-    stack, whether an epsilon move pushed past ``max_depth``, the seeds
-    each of ``letters`` leads to, and the letters whose moves pushed past
-    it.  ``letters`` is empty at the last position.
+    stack, the seeds each of ``letters`` leads to, and the inputs, None
+    for epsilon, whose moves pushed past ``max_depth``.  ``letters`` is
+    empty at the last position.
     """
     count = sum(map(len, seeds.values()))
     if count > budget:
@@ -220,61 +222,52 @@ def _close(steps, seeds: dict, budget: int, max_depth: int, letters):
         if count > budget:
             return None
     del filed[None]
-    return count, accepting, None in over, filed, over
+    return count, accepting, filed, over
 
 
 def _simulate_language(m: Automaton, max_len: int,
                        limits: Limits) -> tuple[set[str], set[str]]:
     """The strings up to ``max_len`` that ``accepts`` would call accepted,
-    and those it would call inconclusive; every other string is rejected.
+    and the prefixes the walk could not settle: ``accepts`` would call
+    inconclusive every string up to ``max_len`` that is not accepted and
+    extends one of them, the prefix itself included, and rejected every
+    other string.
 
     The configurations ``accepts`` reaches at input position k depend only
     on the first k letters, so the string trie is walked depth first with
     one position's groups of configurations per prefix.  Each path carries
-    the number of distinct configurations, not groups, reached so far and
-    whether a tried move was pruned.  While that number is within
-    ``max_configs``, the search of a string would reach everything and
-    stop: accepted if a configuration at its end has an empty stack, else
-    inconclusive if anything was pruned, else rejected.  Past it, the search
-    may still accept before its budget runs out, so every string under that
-    prefix is asked of ``accepts`` itself.
+    the number of distinct configurations, not groups, reached so far.
+    While that number is within ``max_configs``, the search of a string
+    would reach everything and stop: accepted if a configuration at its end
+    has an empty stack, else inconclusive if a tried move on its path was
+    pruned, else rejected.  So a prefix p is unsettled when an epsilon move
+    at p pushed past ``max_depth``, and p + ch when a move reading ch did.
+    Past the budget at p, a search below p may still accept before its
+    budget runs out but can never end rejected, so p is unsettled and
+    ``accepts`` itself is asked only which strings below p it accepts.
     """
     steps = _compile(m)
     alphabet = m.input_alphabet
     max_configs, max_depth = limits.max_configs, limits.max_stack_depth
     accepted: set[str] = set()
-    inconclusive: set[str] = set()
-    pending = [("", {(0, 0, 1): {()}}, 0, False)]
+    unsettled: set[str] = set()
+    pending = [("", {(0, 0, 1): {()}}, 0)]
     while pending:
-        prefix, seeds, explored, pruned = pending.pop()
+        prefix, seeds, explored = pending.pop()
         closed = _close(steps, seeds, max_configs - explored, max_depth,
                         alphabet if len(prefix) < max_len else ())
         if closed is None:
-            for tail in strings_up_to(alphabet, max_len - len(prefix)):
-                w = prefix + tail
-                verdict = accepts(m, w, limits)
-                if verdict.is_accepted:
-                    accepted.add(w)
-                elif verdict.is_inconclusive:
-                    inconclusive.add(w)
+            unsettled.add(prefix)
+            below = (prefix + tail for tail in strings_up_to(alphabet, max_len - len(prefix)))
+            accepted.update(w for w in below if accepts(m, w, limits).is_accepted)
             continue
-        count, accepting, epsilon_pruned, successors, overflows = closed
-        explored += count
-        pruned = pruned or epsilon_pruned
+        count, accepting, successors, overflows = closed
         if accepting:
             accepted.add(prefix)
-        elif pruned:
-            inconclusive.add(prefix)
-        for ch, child_seeds in successors.items():
-            child_pruned = pruned or ch in overflows
-            if child_seeds:
-                pending.append((prefix + ch, child_seeds, explored, child_pruned))
-            elif child_pruned:
-                # Nothing left to reach: the whole subtree is as pruned as
-                # its root.
-                inconclusive.update(prefix + ch + tail for tail in
-                                    strings_up_to(alphabet, max_len - len(prefix) - 1))
-    return accepted, inconclusive
+        unsettled.update(prefix + (ch or "") for ch in overflows)
+        pending.extend((prefix + ch, child_seeds, explored + count)
+                       for ch, child_seeds in successors.items() if child_seeds)
+    return accepted, unsettled
 
 
 def replay_configurations(m: Automaton, w: str, witness) -> list[Configuration]:

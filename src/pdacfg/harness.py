@@ -95,7 +95,11 @@ def differential_check(sources: Sequence[tuple[str, LanguageSource]], max_len: i
     mismatches = []
     inconclusive = []
     for w in strings_up_to(alpha, max_len):
-        verdicts = [(label, True if w in accepted else None if w in unsettled else False)
+        # A string that is not accepted is inconclusive under an unsettled
+        # prefix, ``""`` and itself included; most routes leave none.
+        verdicts = [(label, True if w in accepted else
+                     None if unsettled and any(w[:i] in unsettled for i in range(len(w) + 1))
+                     else False)
                     for label, accepted, unsettled in languages]
         conclusive = {v for _, v in verdicts if v is not None}
         pending = [label for label, v in verdicts if v is None]

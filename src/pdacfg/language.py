@@ -130,11 +130,13 @@ def derivable_strings(cfg: Cfg, max_len: int) -> set[str]:
 
 def _language(source: LanguageSource, max_len: int,
               limits: Limits) -> tuple[set[str], set[str]]:
-    """The strings up to ``max_len`` the source accepts, and those it is
-    inconclusive on; every other string is rejected.  A grammar's come from
-    its exact least fixpoint, so none is inconclusive; an automaton's from
-    one walk of the bounded simulator over the string trie, with the
-    verdicts per-string searches would give."""
+    """The strings up to ``max_len`` the source accepts, and the prefixes it
+    could not settle: a string that is not accepted is inconclusive when one
+    of them, ``""`` or itself included, is a prefix of it, and rejected
+    otherwise.  A grammar's strings come from its exact least fixpoint, so
+    it leaves no prefix unsettled; an automaton's from one walk of the
+    bounded simulator over the string trie, with the verdicts per-string
+    searches would give."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     if isinstance(source, Cfg):
@@ -152,7 +154,11 @@ def enumerate_language(source: LanguageSource, max_len: int,
     """Members of the source's language up to ``max_len``, and whether the
     list is complete: False when some verdict was inconclusive (such
     strings are excluded rather than guessed at).  Grammars are always
-    complete; automata are walked by the bounded simulator.
+    complete; automata are walked by the bounded simulator, and the list is
+    complete exactly when every string up to ``max_len`` below each prefix
+    the walk could not settle is accepted, checked up to the first that is
+    not.
     """
-    accepted, inconclusive = _language(source, max_len, limits)
-    return accepted, not inconclusive
+    accepted, unsettled = _language(source, max_len, limits)
+    return accepted, all(prefix + tail in accepted for prefix in unsettled for tail in
+                         strings_up_to(_source_alphabet(source), max_len - len(prefix)))

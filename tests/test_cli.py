@@ -1,9 +1,14 @@
+import os
+import resource
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import pdacfg
 from pdacfg import P1_TEXT, builtin_corpus, parse_cfg, parse_source, render
 from pdacfg.cli import main
 
@@ -123,6 +128,42 @@ def test_enum_on_an_inconclusive_automaton_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "incomplete" in captured.err
+
+
+# At a bound no set of strings could hold, enum keeps only the prefixes the
+# walk could not settle: P1's pushes stop at the default stack depth of 64,
+# and P5's push loop is pruned at the root.  A fresh process with at most
+# 1 GiB of address space runs it, so a walk that lists strings fails alone.
+@pytest.mark.parametrize("name, out", [
+    ("P1", "".join("a" * n + "b" * n + "\n" for n in range(64))),
+    ("P5", ""),
+])
+def test_enum_on_an_automaton_at_a_huge_bound_exits_2(name, out, tmp_path):
+    entry = next(e for e in builtin_corpus() if e.name == name)
+    path = tmp_path / f"{name}.pda"
+    path.write_text(render(entry.pda))
+    src = str(Path(pdacfg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    gib = 1 << 30
+    done = subprocess.run(
+        [sys.executable, "-m", "pdacfg.cli", "enum", str(path),
+         "--max-len", "99999999999999999999"],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (gib, gib)))
+    assert (done.returncode, done.stdout) == (2, out)
+    assert "incomplete" in done.stderr
+
+
+def test_a_pruned_root_whose_strings_are_all_accepted_is_complete(tmp_path, capsys):
+    # The push loop is pruned at the root, yet every a^n pops its way out.
+    path = tmp_path / "pruned-root.pda"
+    path.write_text("states: q\ninput: a\nstack: Z\nstart: q\nstartstack: Z\n"
+                    "q eps Z -> q Z Z\nq a Z -> q eps\nq eps Z -> q eps\n")
+    assert main(["enum", str(path), "--max-len", "5"]) == 0
+    assert capsys.readouterr().out == "".join("a" * n + "\n" for n in range(6))
+    assert main(["check", str(path), "--classical", "--max-len", "5"]) == 0
+    assert capsys.readouterr().out == "checked=6 agree=6 mismatch=0 inconclusive=0\n"
 
 
 def test_check_reports_zero_mismatches(p1_file, capsys):

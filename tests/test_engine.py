@@ -452,8 +452,17 @@ def _per_string(m, max_len, limits):
             {w for w, v in verdicts.items() if v.is_inconclusive})
 
 
+def _walk(m, max_len, limits):
+    """The walk's accepted strings, and its unsettled prefixes expanded into
+    the strings they leave inconclusive."""
+    accepted, unsettled = engine._simulate_language(m, max_len, limits)
+    below = {prefix + tail for prefix in unsettled
+             for tail in strings_up_to(m.input_alphabet, max_len - len(prefix))}
+    return accepted, below - accepted
+
+
 def _assert_walk_matches_per_string(m, max_len, limits):
-    assert engine._simulate_language(m, max_len, limits) == _per_string(m, max_len, limits)
+    assert _walk(m, max_len, limits) == _per_string(m, max_len, limits)
 
 
 # Limits(40, 5) and Limits(37, 9) send P3's longer strings over the budget
@@ -472,7 +481,7 @@ def test_simulator_walk_matches_per_string_searches_on_random_automata():
     for seed in range(1, 200):
         pda = random_pda(seed)
         for m in (pda, to_single_state(pda)):
-            assert engine._simulate_language(m, 3, limits) == _per_string(m, 3, limits), seed
+            assert _walk(m, 3, limits) == _per_string(m, 3, limits), seed
 
 
 def test_simulator_walk_matches_per_string_searches_under_tight_limits():
@@ -482,15 +491,18 @@ def test_simulator_walk_matches_per_string_searches_under_tight_limits():
     for seed in range(1, 61):
         pda = random_pda(seed)
         for m in (pda, to_single_state(pda)):
-            assert engine._simulate_language(m, 6, limits) == _per_string(m, 6, limits), seed
+            assert _walk(m, 6, limits) == _per_string(m, 6, limits), seed
 
 
 @given(pdas())
 @settings(max_examples=40)
 def test_simulator_walk_matches_per_string_searches_on_hypothesis_automata(pda):
     for limits in (Limits(300, 12), Limits(max_configs=7, max_stack_depth=4)):
-        _assert_walk_matches_per_string(pda, 3, limits)
-        _assert_walk_matches_per_string(to_single_state(pda), 2, limits)
+        for m, max_len in ((pda, 3), (to_single_state(pda), 2)):
+            accepted, inconclusive = _per_string(m, max_len, limits)
+            assert _walk(m, max_len, limits) == (accepted, inconclusive)
+            # Complete exactly when no search is inconclusive.
+            assert enumerate_language(m, max_len, limits) == (accepted, not inconclusive)
 
 
 @given(pdas(), st.integers(5, 400), st.integers(2, 6))
@@ -572,7 +584,7 @@ def test_walk_decides_within_the_budget_and_asks_accepts_past_it(corpus, monkeyp
             for budget in (count, count - 1) if count > 1 else (count,):
                 limits = Limits(budget)
                 asked.clear()
-                accepted, inconclusive = engine._simulate_language(m, len(w), limits)
+                accepted, inconclusive = _walk(m, len(w), limits)
                 kind = ("accepted" if w in accepted else
                         "inconclusive" if w in inconclusive else "rejected")
                 assert kind == accepts(m, w, limits).kind, (m, w, budget)
@@ -612,9 +624,10 @@ def test_push_loop_is_settled_from_the_root_alone(corpus, monkeypatch):
     p5 = corpus["P5"].pda
     for m in (p5, to_single_state(p5)):
         closed.clear()
-        accepted, inconclusive = engine._simulate_language(m, 8, DEFAULT_LIMITS)
+        assert engine._simulate_language(m, 8, DEFAULT_LIMITS) == (set(), {""})
+        assert len(closed) == 1
+        accepted, inconclusive = _walk(m, 8, DEFAULT_LIMITS)
         assert accepted == set()
         assert inconclusive == set(strings_up_to(p5.input_alphabet, 8))
         assert len(inconclusive) == 511
-        assert len(closed) == 1
     assert asked == []
