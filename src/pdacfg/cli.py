@@ -219,7 +219,7 @@ def _cmd_check(args) -> int:
     print(report.table())
     if report.mismatches:
         return EXIT_NO
-    if report.inconclusive_strings:
+    if report.inconclusive:
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 
-from .language import _heads_derived_from
+from .language import _heads_derived_from, _reached_from
 from .model import Cfg, Pda, Production, SingleStatePda, START
 from .singlestate import _check_convertible, to_single_state
 
@@ -74,20 +74,11 @@ def generating_variables(cfg: Cfg) -> frozenset[str]:
 
 def reachable_symbols(cfg: Cfg) -> frozenset[str]:
     """Symbols occurring in some sentential form derivable from the start."""
-    by_head = defaultdict(list)
+    bodies = defaultdict(list)  # only the start and declared variables expand
     for head, body in cfg.productions:
-        by_head[head].append(body)
-    reached = {cfg.start}
-    frontier = [cfg.start]
-    while frontier:
-        head = frontier.pop()
-        for body in by_head.get(head, ()):
-            for sym in body:
-                if sym not in reached:
-                    reached.add(sym)
-                    if sym in cfg.variables:
-                        frontier.append(sym)
-    return frozenset(reached)
+        if head == cfg.start or head in cfg.variables:
+            bodies[head].append(body)
+    return frozenset(_reached_from(cfg.start, bodies))
 
 
 def prune_useless(cfg: Cfg) -> Cfg:

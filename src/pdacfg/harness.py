@@ -3,9 +3,11 @@
 A check computes each labeled source's bounded language once, then reads
 every string over the alphabet up to the length bound off those languages.
 Two conclusive verdicts that differ make a mismatch; inconclusive simulator
-verdicts are reported separately and never counted as disagreement.  The
-automata and grammars checked in the suites and scripts come from
-``corpus``, which a check never loads.
+verdicts are reported separately and never counted as disagreement.  A
+report keeps what ``check`` prints: every mismatch, the number of
+inconclusive strings and the first ten of them, so its size does not grow
+with the length bound.  The automata and grammars checked in the suites and
+scripts come from ``corpus``, which a check never loads.
 """
 
 from __future__ import annotations
@@ -19,13 +21,19 @@ from .model import DEFAULT_LIMITS, Limits, Pda
 from .singlestate import to_single_state
 
 
+# A report keeps the first this many inconclusive strings.
+_KEPT_INCONCLUSIVE = 10
+
+
 class EquivalenceReport(NamedTuple):
     """Outcome of one differential run.
 
-    ``mismatches`` holds (string, per-source verdicts) pairs and
-    ``inconclusive`` (string, source label) pairs.  Every tested string falls
-    into exactly one bucket: agreement, mismatch, or inconclusive-affected,
-    so the counts always add up to the number of strings checked.
+    ``mismatches`` holds (string, per-source verdicts) pairs, and
+    ``inconclusive`` the first ten inconclusive strings in shortlex order:
+    strings no two conclusive verdicts split that some source could not
+    settle.  Every tested string falls into exactly one bucket: agreement,
+    mismatch or inconclusive, so ``inconclusive_count`` is what the other
+    two leave of the strings checked.
     """
 
     sources: tuple[str, ...]
@@ -33,7 +41,7 @@ class EquivalenceReport(NamedTuple):
     max_len: int
     agreements: int
     mismatches: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
-    inconclusive: tuple[tuple[str, str], ...]
+    inconclusive: tuple[str, ...]
     elapsed: float
 
     @property
@@ -41,14 +49,13 @@ class EquivalenceReport(NamedTuple):
         return sum(len(self.alphabet) ** k for k in range(self.max_len + 1))
 
     @property
-    def inconclusive_strings(self) -> tuple[str, ...]:
-        flagged = {w for w, _ in self.inconclusive}
-        return tuple(sorted(flagged, key=lambda w: (len(w), w)))
+    def inconclusive_count(self) -> int:
+        return self.checked - self.agreements - len(self.mismatches)
 
     def summary_line(self) -> str:
         return (f"checked={self.checked} agree={self.agreements} "
                 f"mismatch={len(self.mismatches)} "
-                f"inconclusive={len(self.inconclusive_strings)}")
+                f"inconclusive={self.inconclusive_count}")
 
     def table(self) -> str:
         lines = []
@@ -57,11 +64,11 @@ class EquivalenceReport(NamedTuple):
             for w, verdicts in self.mismatches:
                 cells = " ".join(f"{label}={v}" for label, v in verdicts)
                 lines.append(f"  '{w}'  {cells}")
-        if self.inconclusive_strings:
+        if self.inconclusive:
             lines.append(
                 "inconclusive strings: "
-                + " ".join(f"'{w}'" for w in self.inconclusive_strings[:10])
-                + (" ..." if len(self.inconclusive_strings) > 10 else ""))
+                + " ".join(f"'{w}'" for w in self.inconclusive)
+                + (" ..." if self.inconclusive_count > _KEPT_INCONCLUSIVE else ""))
         lines.append(self.summary_line())
         return "\n".join(lines)
 
@@ -90,28 +97,27 @@ def differential_check(sources: Sequence[tuple[str, LanguageSource]], max_len: i
 
     # Timed from here: every source's language is computed up front.
     started = time.perf_counter()
-    languages = [(label, *_language(source, max_len, limits)) for label, source in sources]
+    labels = tuple(label for label, _ in sources)
+    languages = [_language(source, max_len, limits) for _, source in sources]
+    text = {True: "yes", False: "no", None: "inconclusive"}
     agreements = 0
     mismatches = []
     inconclusive = []
     for w in strings_up_to(alpha, max_len):
         # A string that is not accepted is inconclusive under an unsettled
         # prefix, ``""`` and itself included; most routes leave none.
-        verdicts = [(label, True if w in accepted else
-                     None if unsettled and any(w[:i] in unsettled for i in range(len(w) + 1))
-                     else False)
-                    for label, accepted, unsettled in languages]
-        conclusive = {v for _, v in verdicts if v is not None}
-        pending = [label for label, v in verdicts if v is None]
-        if len(conclusive) > 1:
-            text = {True: "yes", False: "no", None: "inconclusive"}
-            mismatches.append((w, tuple((label, text[v]) for label, v in verdicts)))
-        elif pending:
-            inconclusive.extend((w, label) for label in pending)
-        else:
+        verdicts = [True if w in accepted else
+                    None if unsettled and any(w[:i] in unsettled for i in range(len(w) + 1))
+                    else False
+                    for accepted, unsettled in languages]
+        if True in verdicts and False in verdicts:
+            mismatches.append((w, tuple(zip(labels, map(text.get, verdicts)))))
+        elif None not in verdicts:
             agreements += 1
+        elif len(inconclusive) < _KEPT_INCONCLUSIVE:
+            inconclusive.append(w)
     return EquivalenceReport(
-        sources=tuple(label for label, _ in sources),
+        sources=labels,
         alphabet=alpha,
         max_len=max_len,
         agreements=agreements,

@@ -7,8 +7,9 @@ code with the Earley recognizer in ``engine``, so each checks the other.  An
 automaton's is one walk of the bounded simulator in ``engine``, imported
 only when an automaton is asked, so a process that reads only grammars
 never compiles the simulator.  Enumeration and grammar pruning share the
-one variable fixpoint here, ``_heads_derived_from``; the recognizer needs
-no fixpoint, so the two grammar deciders share no code by construction.
+one variable fixpoint here, ``_heads_derived_from``, and the one
+reachability walk, ``_reached_from``; the recognizer needs neither, so the
+two grammar deciders share no code by construction.
 """
 
 from __future__ import annotations
@@ -48,6 +49,19 @@ def _heads_derived_from(productions, given: frozenset) -> frozenset:
     return frozenset(derived)
 
 
+def _reached_from(start, bodies) -> set:
+    """``start`` and every symbol reachable from it, where ``bodies`` maps a
+    symbol to the bodies it may be replaced by; a symbol it does not map is
+    reached but leads nowhere."""
+    reached, agenda = {start}, [start]
+    while agenda:
+        for body in bodies.get(agenda.pop(), ()):
+            new = set(body) - reached
+            reached |= new
+            agenda.extend(new)
+    return reached
+
+
 def derivable_strings(cfg: Cfg, max_len: int) -> set[str]:
     """Every terminal string of length <= max_len the grammar derives.
 
@@ -83,13 +97,7 @@ def derivable_strings(cfg: Cfg, max_len: int) -> set[str]:
             split[head].add(body)
     # Only the rules the start can use: a variable it never reaches could
     # hold strings at every length and so hold off the stop below.
-    reached, agenda = {cfg.start}, [cfg.start]
-    while agenda:
-        for body in split[agenda.pop()]:
-            new = set(body) - reached
-            reached |= new
-            agenda.extend(new)
-    rules = [(head, body) for head in reached for body in split[head]]
+    rules = [(head, body) for head in _reached_from(cfg.start, split) for body in split[head]]
     nullable = _heads_derived_from(rules, frozenset())
 
     # ``feeds[sym]``: the heads that derive every string ``sym`` does.

@@ -173,7 +173,8 @@ def test_check_reports_zero_mismatches(p1_file, capsys):
     assert "checked=127" in out
 
 
-def test_check_exits_1_on_a_mismatch(p1_file, monkeypatch, capsys):
+@pytest.fixture()
+def a_wrong_grammar_route(monkeypatch):
     from pdacfg import Cfg, harness
 
     routes = harness.routes
@@ -187,12 +188,77 @@ def test_check_exits_1_on_a_mismatch(p1_file, monkeypatch, capsys):
         return sources + [("wrong", wrong)]
 
     monkeypatch.setattr(harness, "routes", with_a_wrong_grammar)
+
+
+def test_check_exits_1_on_a_mismatch(p1_file, a_wrong_grammar_route, capsys):
     assert main(["check", p1_file, "--max-len", "4"]) == 1
     assert capsys.readouterr().out == (
         "mismatches:\n"
         "  'ab'  pda=yes sspda=yes cfg=yes wrong=no\n"
         "  'aabb'  pda=yes sspda=yes cfg=yes wrong=no\n"
         "checked=31 agree=29 mismatch=2 inconclusive=0\n")
+
+
+def test_check_prints_mismatches_and_inconclusive_strings_together(
+        p1_file, a_wrong_grammar_route, capsys):
+    assert main(["check", p1_file, "--max-len", "6",
+                 "--max-configs", "40", "--max-depth", "5"]) == 1
+    assert capsys.readouterr().out == (
+        "mismatches:\n"
+        "  'ab'  pda=yes sspda=yes cfg=yes wrong=no\n"
+        "  'aabb'  pda=yes sspda=yes cfg=yes wrong=no\n"
+        "  'aaabbb'  pda=yes sspda=inconclusive cfg=yes wrong=no\n"
+        "inconclusive strings: 'aaaa' 'aaaaa' 'aaaab' 'aaabb' 'aaaaaa' 'aaaaab' 'aaaaba'"
+        " 'aaaabb' 'aaabba'\n"
+        "checked=127 agree=115 mismatch=3 inconclusive=9\n")
+
+
+# A push loop at the root that no move pops leaves every string of the
+# automaton inconclusive, and its grammars reject them all.
+@pytest.mark.parametrize("max_len, more", [("9", ""), ("10", " ...")], ids=["ten", "eleven"])
+def test_check_marks_inconclusive_strings_past_the_tenth(max_len, more, tmp_path, capsys):
+    path = tmp_path / "loop.pda"
+    path.write_text("states: q\ninput: a\nstack: Z\nstart: q\nstartstack: Z\n"
+                    "q eps Z -> q Z Z\nq a Z -> q Z\n")
+    assert main(["check", str(path), "--classical", "--max-len", max_len]) == 2
+    count = int(max_len) + 1
+    assert capsys.readouterr().out == (
+        "inconclusive strings: " + " ".join(f"'{'a' * n}'" for n in range(10)) + more
+        + f"\nchecked={count} agree=0 mismatch=0 inconclusive={count}\n")
+
+
+def _check_in_a_fresh_process(path, max_len):
+    """Exit code, stdout and peak RSS in KiB of `check --classical` run in a
+    child interpreter, which reads its own peak before it exits.  The peak
+    is the kernel's VmHWM: Linux carries ``ru_maxrss`` over from the parent
+    across exec, so in a child of this test process it would read at least
+    the test process's own peak."""
+    src = str(Path(pdacfg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import re, sys\n"
+            "from pdacfg.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "sys.stdout.flush()\n"
+            "with open('/proc/self/status') as status:\n"
+            "    peak = re.search(r'VmHWM:\\s+(\\d+) kB', status.read()).group(1)\n"
+            "print(peak, file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "check", str(path), "--classical", "--max-len", max_len],
+        env=env, capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, int(done.stderr.split()[-1])
+
+
+def test_check_memory_does_not_grow_with_the_bound(tmp_path):
+    entry = next(e for e in builtin_corpus() if e.name == "P5")
+    path = tmp_path / "P5.pda"
+    path.write_text(render(entry.pda))
+    code, out, long_kib = _check_in_a_fresh_process(path, "16")
+    assert code == 2
+    assert out.splitlines()[-1] == "checked=131071 agree=0 mismatch=0 inconclusive=131071"
+    _, _, short_kib = _check_in_a_fresh_process(path, "8")
+    assert long_kib - short_kib <= 2048
 
 
 AGREED_511 = "checked=511 agree=511 mismatch=0 inconclusive=0\n"
