@@ -8,16 +8,17 @@ automaton is a PDA whose one state is ``qm``: its moves are the same
 ``[p,X,q]`` triples.  Every type is immutable and hashable, so structural
 equality and use as set elements work throughout.
 
-``Transition``, ``Triple`` and ``Configuration`` are named tuples: they
-compare, hash and order as the tuples of their fields.  ``Pda``,
-``SingleStatePda``, ``Cfg`` and the simulator's ``Limits`` are ``_Record``
-classes instead, because they equal only records of their own type.  No record stores where its
-parts came from: a construction's rows and productions spell it, and
-``render`` reads it back off them.
+Every record is a named tuple: it compares, hashes and orders as the tuple
+of its fields.  ``Pda``, ``SingleStatePda`` and ``Cfg`` freeze their sets,
+and the simulator's ``Limits`` checks its bounds, in ``__new__``, which
+``_make``, ``_replace``, copy and pickle all go through.  No record stores
+where its parts came from: a construction's rows and productions spell it,
+and ``render`` reads it back off them.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import NamedTuple, Optional, Union
 
 QM = "qm"  # canonical name of the sole state of a single-state PDA
@@ -38,59 +39,27 @@ def is_input_symbol(ch: str) -> bool:
     return len(ch) == 1 and ch.isprintable() and not ch.isspace() and ch not in "#|"
 
 
-class _Record:
-    """Base of the records that cannot be tuples: immutable, with value
-    equality.
-
-    Each subclass lists its fields in ``_fields`` (and ``__slots__``), in
-    constructor order; equality, hashing and ``repr`` read every field.
-    """
+class _Checked:
+    """Base of the named tuples that freeze or check their fields in
+    ``__new__``: ``_make``, and so ``_replace``, builds through it too."""
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
 
-    def _set(self, *values) -> None:
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
-class Limits(_Record):
+class Limits(_Checked, namedtuple("Limits", "max_configs max_stack_depth")):
     """Search bounds for the PDA simulator; both must be positive.  They
     live here so that the CLI reads their defaults without ``engine``."""
 
-    __slots__ = _fields = ("max_configs", "max_stack_depth")
+    __slots__ = ()
 
-    max_configs: int
-    max_stack_depth: int
-
-    def __init__(self, max_configs: int = 100_000, max_stack_depth: int = 64):
+    def __new__(cls, max_configs: int = 100_000, max_stack_depth: int = 64):
         if max_configs <= 0 or max_stack_depth <= 0:
             raise ValueError("limits must be positive")
-        self._set(max_configs, max_stack_depth)
+        return super().__new__(cls, max_configs, max_stack_depth)
 
 
 DEFAULT_LIMITS = Limits()
@@ -117,7 +86,8 @@ class Transition(NamedTuple):
         return f"{self.from_state} {inp} {self.pop} -> {self.to_state} {rhs}"
 
 
-class Pda(_Record):
+class Pda(_Checked, namedtuple("Pda", "states input_alphabet stack_alphabet transitions "
+                                      "start_state start_stack")):
     """Nondeterministic pushdown automaton accepting by empty stack.
 
     The four sets may be given as any iterables; they are stored as
@@ -125,21 +95,13 @@ class Pda(_Record):
     constructible and reported by ``validate_pda``.
     """
 
-    __slots__ = _fields = (
-        "states", "input_alphabet", "stack_alphabet", "transitions",
-        "start_state", "start_stack")
+    __slots__ = ()
 
-    states: frozenset[str]
-    input_alphabet: frozenset[str]
-    stack_alphabet: frozenset[str]
-    transitions: frozenset[Transition]
-    start_state: str
-    start_stack: str
-
-    def __init__(self, states, input_alphabet, stack_alphabet, transitions,
-                 start_state, start_stack):
-        self._set(frozenset(states), frozenset(input_alphabet), frozenset(stack_alphabet),
-                  frozenset(transitions), start_state, start_stack)
+    def __new__(cls, states, input_alphabet, stack_alphabet, transitions,
+                start_state, start_stack):
+        return super().__new__(cls, frozenset(states), frozenset(input_alphabet),
+                               frozenset(stack_alphabet), frozenset(transitions),
+                               start_state, start_stack)
 
 
 class Triple(NamedTuple):
@@ -160,7 +122,8 @@ START = "Zs"  # fresh start symbol of a single-state PDA
 SsSymbol = Union[str, Triple]
 
 
-class SingleStatePda(_Record):
+class SingleStatePda(_Checked, namedtuple("SingleStatePda",
+                                          "input_alphabet stack_alphabet transitions")):
     """PDA whose only state is ``qm``; all bookkeeping lives in the triple
     stack symbols.
 
@@ -171,18 +134,15 @@ class SingleStatePda(_Record):
     iterables; they are stored as frozensets.
     """
 
-    __slots__ = _fields = ("input_alphabet", "stack_alphabet", "transitions")
+    __slots__ = ()
 
     states = frozenset({QM})
     start_state = QM
     start_stack = START
 
-    input_alphabet: frozenset[str]
-    stack_alphabet: frozenset[SsSymbol]
-    transitions: frozenset[Transition]
-
-    def __init__(self, input_alphabet, stack_alphabet, transitions):
-        self._set(frozenset(input_alphabet), frozenset(stack_alphabet), frozenset(transitions))
+    def __new__(cls, input_alphabet, stack_alphabet, transitions):
+        return super().__new__(cls, frozenset(input_alphabet), frozenset(stack_alphabet),
+                               frozenset(transitions))
 
     @property
     def provenance(self) -> dict:
@@ -194,7 +154,7 @@ class SingleStatePda(_Record):
 Production = tuple[str, tuple[str, ...]]
 
 
-class Cfg(_Record):
+class Cfg(_Checked, namedtuple("Cfg", "variables terminals productions start")):
     """Context-free grammar over string symbols.
 
     Variables and terminals are disjoint; a production body is a tuple of
@@ -203,15 +163,11 @@ class Cfg(_Record):
     no validation happens here.
     """
 
-    __slots__ = _fields = ("variables", "terminals", "productions", "start")
+    __slots__ = ()
 
-    variables: frozenset[str]
-    terminals: frozenset[str]
-    productions: frozenset[Production]
-    start: str
-
-    def __init__(self, variables, terminals, productions, start):
-        self._set(frozenset(variables), frozenset(terminals), frozenset(productions), start)
+    def __new__(cls, variables, terminals, productions, start):
+        return super().__new__(cls, frozenset(variables), frozenset(terminals),
+                               frozenset(productions), start)
 
 
 class Configuration(NamedTuple):

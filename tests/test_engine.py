@@ -329,13 +329,6 @@ def test_enumerate_works_on_the_single_state_form(p1):
     assert enumerate_language(to_single_state(p1), 4) == ({"", "ab", "aabb"}, True)
 
 
-def test_limits_must_be_positive():
-    with pytest.raises(ValueError):
-        Limits(0, 5)
-    with pytest.raises(ValueError):
-        Limits(5, 0)
-
-
 def reference_accepts(m, w, limits=DEFAULT_LIMITS):
     """Reference simulator: breadth-first search over plain
     Configuration values, with the moves sorted and indexed per query."""

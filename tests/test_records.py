@@ -1,7 +1,9 @@
 """Value semantics of the record types: equality, hashing, repr,
-immutability and copying, as each type's callers rely on them."""
+immutability and copying, as each type's callers rely on them.  Every
+record is a named tuple."""
 
 import copy
+import pickle
 
 import pytest
 
@@ -78,14 +80,18 @@ def test_records_are_immutable(build, text):
     assert hasattr(record, first_field)
     with pytest.raises(AttributeError):
         setattr(record, first_field, None)
+    # A subclass that forgot ``__slots__ = ()`` would grow a ``__dict__``.
+    with pytest.raises(AttributeError):
+        setattr(record, "extra", 1)
 
 
-def test_a_record_hashes_as_the_tuple_of_its_compared_fields():
-    move = Transition("q0", "a", "Z", "q0", ("A",))
-    assert hash(move) == hash(("q0", "a", "Z", "q0", ("A",)))
-    pda = _pda()
-    assert hash(pda) == hash((pda.states, pda.input_alphabet, pda.stack_alphabet,
-                              pda.transitions, pda.start_state, pda.start_stack))
+@pytest.mark.parametrize("build, text", RECORDS, ids=KINDS)
+def test_a_record_is_the_tuple_of_its_fields(build, text):
+    record = build()
+    assert isinstance(record, tuple)
+    assert record == tuple(record)
+    assert hash(record) == hash(tuple(record))
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_diagnostic_maps_stay_out_of_equality_and_hashing():
@@ -124,17 +130,37 @@ def test_a_grammar_freezes_the_sets_it_is_given():
     assert isinstance(built.productions, frozenset)
 
 
+def test_replace_and_make_freeze_the_sets_they_are_given():
+    row = Transition("qm", "a", "Zs", "qm", ())
+    rebuilt = [
+        (_pda()._replace(states=["q", "r"]), ("states",)),
+        (SingleStatePda._make((["a"], ["Zs"], [row])), SingleStatePda._fields),
+        (Cfg._make((["S"], ["a"], [("S", ("a",))], "S")),
+         ("variables", "terminals", "productions")),
+    ]
+    for record, sets in rebuilt:
+        assert all(isinstance(getattr(record, name), frozenset) for name in sets)
+        assert hash(record) == hash(tuple(record))
+    assert rebuilt[0][0].states == frozenset({"q", "r"})
+
+
 def test_records_of_different_types_are_unequal():
     parts = (frozenset({"a"}), frozenset({"Z"}), frozenset())
     pda = Pda(frozenset({"qm"}), *parts, "qm", "Z")
     assert pda != SingleStatePda(*parts)
-    assert Limits(7, 3) != (7, 3)
 
 
 @pytest.mark.parametrize("limits", [(0, 5), (5, 0), (-1, 1)])
 def test_limits_must_be_positive(limits):
     with pytest.raises(ValueError, match="limits must be positive"):
         Limits(*limits)
+
+
+def test_replace_and_make_check_limits():
+    with pytest.raises(ValueError, match="limits must be positive"):
+        Limits(7, 3)._replace(max_configs=0)
+    with pytest.raises(ValueError, match="limits must be positive"):
+        Limits._make((0, 5))
 
 
 def test_limits_defaults():
