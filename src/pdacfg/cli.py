@@ -8,7 +8,9 @@ stats (construction size accounting).
 Exit codes: 0 success (for run/member: the string is accepted), 1 rejected
 or mismatches found, 2 inconclusive, 64 usage error, 65 parse or validation
 error.  Diagnostics go to stderr; payload goes to stdout, and nothing is
-written on a parse error.
+written on a parse error.  Every command reads its file through ``_load``,
+and ``main`` maps every usage, parse, file and validation error to its exit
+code in one place.
 
 Each command imports the layers it calls when it runs, so a process
 compiles only those: the top imports only ``model`` and ``textio``.  ``run``
@@ -85,20 +87,24 @@ def build_parser() -> _Parser:
     p.add_argument("--verbose", action="store_true",
                    help="annotate output with provenance comments")
     p.add_argument("-o", "--output", help="output file (default stdout)")
+    p.set_defaults(handle=_cmd_convert)
 
     p = sub.add_parser("run", help="simulate an automaton on a string")
     p.add_argument("pda", help="PDA file (multistate or single-state)")
     p.add_argument("string", help="query string; one character per input symbol")
     _add_limit_flags(p)
+    p.set_defaults(handle=_cmd_run)
 
     p = sub.add_parser("member", help="grammar membership for a string")
     p.add_argument("cfg", help="grammar file")
     p.add_argument("string", help="query string")
+    p.set_defaults(handle=_cmd_member)
 
     p = sub.add_parser("enum", help="list the bounded language of a file")
     p.add_argument("source", help="PDA, single-state PDA, or grammar file")
     p.add_argument("--max-len", type=_LENGTH, required=True, help="length bound")
     _add_limit_flags(p)
+    p.set_defaults(handle=_cmd_enum)
 
     p = sub.add_parser("check", help="differential-check the conversion routes")
     p.add_argument("pda", help="multistate PDA file")
@@ -106,14 +112,12 @@ def build_parser() -> _Parser:
     p.add_argument("--classical", action="store_true",
                    help="also compare against the direct one-step construction")
     _add_limit_flags(p)
+    p.set_defaults(handle=_cmd_check)
 
     p = sub.add_parser("stats", help="construction size accounting")
     p.add_argument("pda", help="multistate PDA file")
+    p.set_defaults(handle=_cmd_stats)
     return parser
-
-
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
 
 
 _KIND_NAMES = {Pda: "a multistate PDA", SingleStatePda: "a single-state automaton",
@@ -121,13 +125,14 @@ _KIND_NAMES = {Pda: "a multistate PDA", SingleStatePda: "a single-state automato
 
 
 def _load(path: str, needs: str, *kinds: type):
-    """Parse the file as whichever format it holds, and refuse any kind but
-    ``kinds``, which the message calls ``needs``.  A file that fails to
+    """Read and parse the file for any command, as whichever format it
+    holds, and refuse any kind but ``kinds``, which the message calls
+    ``needs``; ``enum`` takes all three kinds.  A file that fails to
     parse is reported by the parser ``parse_source`` picked, except that a
     command taking only multistate PDAs re-reads it with ``parse_pda``: a
     broken single-state file, or a file with no PDA header at all, then
     gets the diagnostic meant for a PDA."""
-    text = _read(path)
+    text = Path(path).read_text(encoding="utf-8")
     try:
         source = parse_source(text)
     except ParseError:
@@ -138,13 +143,6 @@ def _load(path: str, needs: str, *kinds: type):
         raise ValueError(
             f"{path} holds {_KIND_NAMES[type(source)]}; this command needs {needs}")
     return source
-
-
-def _emit(payload: str, output) -> None:
-    if output:
-        Path(output).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
 
 
 def _cmd_convert(args) -> int:
@@ -163,7 +161,10 @@ def _cmd_convert(args) -> int:
         if args.prune:
             cfg = prune_useless(cfg)
         payload = render(cfg, verbose=args.verbose)
-    _emit(payload, args.output)
+    if args.output:
+        Path(args.output).write_text(payload, encoding="utf-8")
+    else:
+        sys.stdout.write(payload)
     return EXIT_OK
 
 
@@ -198,12 +199,11 @@ def _cmd_member(args) -> int:
 def _cmd_enum(args) -> int:
     from .language import enumerate_language
 
-    source = parse_source(_read(args.source))
+    source = _load(args.source, "an automaton or a grammar", Pda, SingleStatePda, Cfg)
     limits = Limits(args.max_configs, args.max_depth)
     members, complete = enumerate_language(source, args.max_len, limits)
-    payload = "".join(
-        w + "\n" for w in sorted(members, key=lambda w: (len(w), w)))
-    _emit(payload, None)
+    sys.stdout.write("".join(
+        w + "\n" for w in sorted(members, key=lambda w: (len(w), w))))
     if not complete:
         print("incomplete: some verdicts were inconclusive", file=sys.stderr)
         return EXIT_INCONCLUSIVE
@@ -233,25 +233,10 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "convert": _cmd_convert,
-    "run": _cmd_run,
-    "member": _cmd_member,
-    "enum": _cmd_enum,
-    "check": _cmd_check,
-    "stats": _cmd_stats,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        return args.handle(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -385,11 +385,6 @@ def test_parse_error_exits_65_with_empty_stdout(tmp_path, capsys):
     assert "q9" in captured.err
 
 
-def test_missing_file_exits_65(capsys):
-    assert main(["convert", "no-such-file.pda"]) == 65
-    capsys.readouterr()
-
-
 def test_wrong_kind_of_file_exits_65(p1_file, tmp_path, capsys):
     cfg_path = tmp_path / "P1.cfg"
     sspda_path = tmp_path / "P1.sspda"
@@ -456,6 +451,17 @@ EVERY_COMMAND = [
     ["run", "ab"], ["enum", "--max-len", "2"], ["convert"], ["check"], ["stats"],
     ["member", "ab"],
 ]
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND)
+def test_missing_file_exits_65(tmp_path, capsys, command):
+    missing = tmp_path / "no-such-file"
+    assert main([command[0], str(missing), *command[1:]]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert str(missing) in captured.err
 
 
 @pytest.mark.parametrize("command", EVERY_COMMAND)
