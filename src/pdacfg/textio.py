@@ -9,12 +9,15 @@ PDA files carry five headers (states, input, stack, start, startstack)
 followed by transition lines ``FROM INPUT POP -> TO PUSH...`` where INPUT is
 one character or ``eps`` and PUSH is a top-first symbol sequence or the
 single token ``eps``.  Single-state PDA files use the same headers and lines
-and the same parser, with their own token decoders, and are read into the
-same ``Transition`` type: the only state is ``qm``, stack symbols are ``Zs``
-or ``[p,X,q]`` triples, the start stack is ``Zs`` (which must be declared),
-and ``Zs`` is never pushed.  Both automaton kinds render through one writer
-that reads their states and start headers off the automaton.  Grammar files
-carry optional headers (variables, terminals, start) and production lines
+and are read by the same reader into the same ``Transition`` type, with
+their own token decoders and three rules of their own: the only state is
+``qm``, stack symbols are ``Zs`` or ``[p,X,q]`` triples, ``Zs`` must be
+declared, the start stack is ``Zs``, and ``Zs`` is never pushed.  The reader
+reports the first fault of either kind in this order: missing and empty
+headers, the declared sets, the start headers, then each move line in line
+order.  Both automaton kinds render through one writer that reads their
+states and start headers off the automaton.  Grammar files carry optional
+headers (variables, terminals, start) and production lines
 ``HEAD -> BODY | BODY ...``.
 """
 
@@ -108,12 +111,23 @@ def _declared(header, decode, invalid: str) -> dict:
     return declared
 
 
-def _parse_declarations(text: str, decode_state, decode_symbol):
-    """Split an automaton file into its headers and move lines, and decode
-    the states, input alphabet and stack alphabet it declares.
+def _resolve(declared: dict, kind: str, tok: str, lineno: int):
+    value = declared[kind].get(tok)
+    if value is None:
+        raise ParseError(lineno, f"undeclared {kind} {tok!r}")
+    return value
+
+
+def _read_automaton(text: str, decode_state, decode_symbol, fixed_start=None):
+    """Read an automaton file: the sets its headers declare, its start
+    state and start stack symbol, and its moves.
 
     ``decode_state`` and ``decode_symbol`` map a token to the state or stack
     symbol it spells in the file's format, or to None if it spells none.
+    ``fixed_start``, when given, is the only start stack symbol the format
+    allows: it must be declared, must be the start stack, and is never
+    pushed.  Faults are reported in this order: missing and empty headers,
+    the declared sets, the start headers, then each move line in line order.
     The declared sets come back as dicts from token to decoded value, keyed
     by the kind of reference that must resolve in them.
     """
@@ -129,29 +143,17 @@ def _parse_declarations(text: str, decode_state, decode_symbol):
         "input symbol": _declared(headers["input"], _input_symbol, "invalid input symbol"),
         "stack symbol": _declared(headers["stack"], decode_symbol, "invalid stack symbol"),
     }
-    return headers, move_lines, declared
+    if fixed_start is not None and fixed_start not in declared["stack symbol"]:
+        raise ParseError(headers["stack"][0], f"stack alphabet must contain {fixed_start}")
 
-
-def _resolve(declared: dict, kind: str, tok: str, lineno: int):
-    value = declared[kind].get(tok)
-    if value is None:
-        raise ParseError(lineno, f"undeclared {kind} {tok!r}")
-    return value
-
-
-def _parse_references(headers, move_lines, declared):
-    """Resolve the start headers and every move line against the declared
-    sets.
-
-    Returns the start state, the start stack symbol, and each move as
-    ``(line, (from, input, pop, to, push))`` with its symbols decoded.
-    """
     lineno, tok = _single_header_token(headers, "start")
     start_state = _resolve(declared, "state", tok, lineno)
     lineno, tok = _single_header_token(headers, "startstack")
     start_stack = _resolve(declared, "stack symbol", tok, lineno)
+    if fixed_start is not None and start_stack != fixed_start:
+        raise ParseError(lineno, f"start stack symbol must be {fixed_start}")
 
-    moves = []
+    moves = set()
     for lineno, tokens in move_lines:
         if len(tokens) < 6 or tokens[3] != "->":
             raise ParseError(
@@ -173,8 +175,10 @@ def _parse_references(headers, move_lines, declared):
             raise ParseError(lineno, "eps cannot appear inside a push sequence")
         else:
             push = tuple(_resolve(declared, "stack symbol", tok, lineno) for tok in push_toks)
-        moves.append((lineno, (frm, inp, pop, to, push)))
-    return start_state, start_stack, moves
+            if fixed_start in push:
+                raise ParseError(lineno, f"{fixed_start} cannot be pushed")
+        moves.add(Transition(frm, inp, pop, to, push))
+    return declared, start_state, start_stack, moves
 
 
 def _token(tok: str) -> Optional[str]:
@@ -192,33 +196,18 @@ def parse_pda(text: str) -> Pda:
     validated against the declared sets, with errors reported at the line
     that made them.
     """
-    headers, move_lines, declared = _parse_declarations(text, _token, _token)
-    start_state, start_stack, moves = _parse_references(headers, move_lines, declared)
+    declared, start_state, start_stack, moves = _read_automaton(text, _token, _token)
     return Pda(declared["state"], declared["input symbol"], declared["stack symbol"],
-               {Transition(*move) for _, move in moves}, start_state, start_stack)
+               moves, start_state, start_stack)
 
 
 def parse_sspda(text: str) -> SingleStatePda:
     """Parse a single-state PDA file: same line format; the only state is
     ``qm``, stack symbols are Zs or triple tokens, the start stack is Zs,
     and Zs is never pushed."""
-    headers, move_lines, declared = _parse_declarations(
-        text, lambda tok: tok if tok == QM else None, parse_ss_symbol)
-    # Before the references, so a missing Zs is reported at the stack
-    # header rather than at its first use.
-    if START not in declared["stack symbol"]:
-        raise ParseError(headers["stack"][0], "stack alphabet must contain Zs")
-    _, start_stack, moves = _parse_references(headers, move_lines, declared)
-    if start_stack != START:
-        raise ParseError(headers["startstack"][0], "start stack symbol must be Zs")
-    for lineno, (_, _, _, _, push) in moves:
-        if START in push:
-            raise ParseError(lineno, "Zs cannot be pushed")
-    return SingleStatePda(
-        input_alphabet=declared["input symbol"],
-        stack_alphabet=declared["stack symbol"].values(),
-        transitions=(Transition(*move) for _, move in moves),
-    )
+    declared, _, _, moves = _read_automaton(
+        text, lambda tok: tok if tok == QM else None, parse_ss_symbol, START)
+    return SingleStatePda(declared["input symbol"], declared["stack symbol"].values(), moves)
 
 
 def _is_variable_token(tok: str) -> bool:

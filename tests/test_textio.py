@@ -311,38 +311,50 @@ qm eps Zs -> qm [p,Z,p]
 qm a [p,Z,p] -> qm eps
 """
 
-# One fault per case: (edited text, line of the ParseError).  The messages
-# are not pinned: where a check shared with the PDA format reports the
-# fault, its wording is the PDA format's.
+# One fault per case: (edited text, line of the ParseError, exact message).
+# Where a check shared with the PDA format reports the fault, its wording is
+# the PDA format's.
 SSPDA_FAULTS = {
-    "other state": (_edit(SSPDA_TEXT, "states: qm", "states: q0"), 1),
-    "no state": (_edit(SSPDA_TEXT, "states: qm", "states:"), 1),
-    "second state": (_edit(SSPDA_TEXT, "states: qm", "states: qm q1"), 1),
-    "bad input symbol": (_edit(SSPDA_TEXT, "input: a", "input: a bb"), 2),
-    "plain stack symbol": (_edit(SSPDA_TEXT, "stack: Zs [p,Z,p]", "stack: Zs [p,Z,p] W"), 3),
-    "Zs not declared": (_edit(SSPDA_TEXT, "stack: Zs [p,Z,p]", "stack: [p,Z,p]"), 3),
-    "other start state": (_edit(SSPDA_TEXT, "start: qm", "start: q0"), 4),
-    "triple as startstack": (_edit(SSPDA_TEXT, "startstack: Zs", "startstack: [p,Z,p]"), 5),
-    "malformed line": (SSPDA_TEXT + "qm a Zs\n", 8),
-    "move leaves qm": (SSPDA_TEXT + "q1 a Zs -> qm eps\n", 8),
-    "move enters q1": (SSPDA_TEXT + "qm a Zs -> q1 eps\n", 8),
-    "undeclared input": (SSPDA_TEXT + "qm b Zs -> qm eps\n", 8),
-    "invalid input": (SSPDA_TEXT + "qm ab Zs -> qm eps\n", 8),
-    "undeclared pop": (SSPDA_TEXT + "qm a [p,A,p] -> qm eps\n", 8),
-    "undeclared push": (SSPDA_TEXT + "qm a Zs -> qm [p,A,p]\n", 8),
-    "eps inside push": (SSPDA_TEXT + "qm a Zs -> qm [p,Z,p] eps\n", 8),
-    "pushed Zs": (SSPDA_TEXT + "qm a Zs -> qm Zs\n", 8),
-    "duplicate header": (SSPDA_TEXT + "input: a\n", 8),
-    "missing header": (_edit(SSPDA_TEXT, "start: qm\n", ""), None),
+    "other state": (_edit(SSPDA_TEXT, "states: qm", "states: q0"), 1,
+                    "invalid state name 'q0'"),
+    "no state": (_edit(SSPDA_TEXT, "states: qm", "states:"), 1, "empty state set"),
+    "second state": (_edit(SSPDA_TEXT, "states: qm", "states: qm q1"), 1,
+                     "invalid state name 'q1'"),
+    "bad input symbol": (_edit(SSPDA_TEXT, "input: a", "input: a bb"), 2,
+                         "invalid input symbol 'bb'"),
+    "plain stack symbol": (_edit(SSPDA_TEXT, "stack: Zs [p,Z,p]", "stack: Zs [p,Z,p] W"), 3,
+                           "invalid stack symbol 'W'"),
+    "Zs not declared": (_edit(SSPDA_TEXT, "stack: Zs [p,Z,p]", "stack: [p,Z,p]"), 3,
+                        "stack alphabet must contain Zs"),
+    "other start state": (_edit(SSPDA_TEXT, "start: qm", "start: q0"), 4,
+                          "undeclared state 'q0'"),
+    "triple as startstack": (_edit(SSPDA_TEXT, "startstack: Zs", "startstack: [p,Z,p]"), 5,
+                             "start stack symbol must be Zs"),
+    "malformed line": (SSPDA_TEXT + "qm a Zs\n", 8,
+                       "malformed transition line (want: FROM INPUT POP -> TO PUSH...)"),
+    "move leaves qm": (SSPDA_TEXT + "q1 a Zs -> qm eps\n", 8, "undeclared state 'q1'"),
+    "move enters q1": (SSPDA_TEXT + "qm a Zs -> q1 eps\n", 8, "undeclared state 'q1'"),
+    "undeclared input": (SSPDA_TEXT + "qm b Zs -> qm eps\n", 8,
+                         "undeclared input symbol 'b'"),
+    "invalid input": (SSPDA_TEXT + "qm ab Zs -> qm eps\n", 8, "invalid input symbol 'ab'"),
+    "undeclared pop": (SSPDA_TEXT + "qm a [p,A,p] -> qm eps\n", 8,
+                       "undeclared stack symbol '[p,A,p]'"),
+    "undeclared push": (SSPDA_TEXT + "qm a Zs -> qm [p,A,p]\n", 8,
+                        "undeclared stack symbol '[p,A,p]'"),
+    "eps inside push": (SSPDA_TEXT + "qm a Zs -> qm [p,Z,p] eps\n", 8,
+                        "eps cannot appear inside a push sequence"),
+    "pushed Zs": (SSPDA_TEXT + "qm a Zs -> qm Zs\n", 8, "Zs cannot be pushed"),
+    "duplicate header": (SSPDA_TEXT + "input: a\n", 8, "duplicate header 'input'"),
+    "missing header": (_edit(SSPDA_TEXT, "start: qm\n", ""), None, "missing header 'start'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SSPDA_FAULTS))
 def test_parse_sspda_fault_table(case):
-    text, line = SSPDA_FAULTS[case]
+    text, line, message = SSPDA_FAULTS[case]
     with pytest.raises(ParseError) as err:
         parse_sspda(text)
-    assert err.value.line == line
+    assert (err.value.line, err.value.message) == (line, message)
 
 
 def test_sspda_fault_table_base_text_parses():
@@ -350,19 +362,58 @@ def test_sspda_fault_table_base_text_parses():
     assert len(sspda.transitions) == 2
 
 
-FAULT_FILES = {**{f"pda {case}": (text, line) for case, (text, line, _) in PDA_FAULTS.items()},
-               **{f"sspda {case}": fault for case, fault in SSPDA_FAULTS.items()}}
+# Two faults per case: (parser, text, line and message of the first fault,
+# which is the one reported).  Header faults come first, then the first bad
+# line in line order.
+TWO_FAULTS = {
+    "sspda startstack, then move": (
+        parse_sspda,
+        _edit(SSPDA_TEXT, "startstack: Zs", "startstack: [p,Z,p]") + "qm b Zs -> qm eps\n",
+        5, "start stack symbol must be Zs"),
+    "sspda pushed Zs, then move": (
+        parse_sspda, SSPDA_TEXT + "qm a Zs -> qm Zs\nqm b Zs -> qm eps\n",
+        8, "Zs cannot be pushed"),
+    "pda two moves": (
+        parse_pda, P1_TEXT + "q9 a Z -> q0 eps\nq0 c Z -> q0 eps\n",
+        12, "undeclared state 'q9'"),
+    "pda start, then move": (
+        parse_pda, _edit(P1_TEXT, "start: q0", "start: q9") + "q0 a W -> q0 eps\n",
+        4, "undeclared state 'q9'"),
+    "cfg production, then variables": (
+        parse_cfg, "S -> a b\nvariables: S [x\n", 2, "invalid variable '[x'"),
+    "cfg start, then production": (
+        parse_cfg, "start: [x\nS a\n",
+        2, "malformed production line (want: HEAD -> BODY | BODY ...)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_FAULTS))
+def test_two_faults_report_the_first(case):
+    parse, text, line, message = TWO_FAULTS[case]
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.message) == (line, message)
+
+
+# (command, arguments after the file, fault); the CLI tells the formats
+# apart by their content.
+FAULT_FILES = {
+    **{f"pda {case}": ("enum", ["--max-len", "1"], fault) for case, fault in PDA_FAULTS.items()},
+    **{f"sspda {case}": ("enum", ["--max-len", "1"], fault)
+       for case, fault in SSPDA_FAULTS.items()},
+    **{f"cfg {case}": ("member", ["a"], fault) for case, fault in CFG_FAULTS.items()},
+}
 
 
 @pytest.mark.parametrize("case", sorted(FAULT_FILES))
 def test_fault_table_through_the_cli(case, tmp_path, capsys):
     from pdacfg.cli import main
 
-    text, line = FAULT_FILES[case]
-    path = tmp_path / "fault.pda"
+    command, args, (text, line, message) = FAULT_FILES[case]
+    path = tmp_path / "fault"
     path.write_text(text)
-    assert main(["enum", str(path), "--max-len", "1"]) == 65
+    assert main([command, str(path), *args]) == 65
     captured = capsys.readouterr()
     assert captured.out == ""
-    if line is not None:
-        assert captured.err.startswith(f"error: line {line}: ")
+    where = "" if line is None else f"line {line}: "
+    assert captured.err == f"error: {where}{message}\n"
