@@ -19,8 +19,7 @@ import importlib
 _EXPORTS = {
     "corpus": ("P1_TEXT", "builtin_corpus", "random_cfg", "random_pda"),
     "engine": ("Verdict", "accepts", "cfg_member", "replay_configurations"),
-    "grammar": ("classical_pda_to_cfg", "generating_variables", "pda_to_cfg",
-                "prune_useless", "reachable_symbols", "sspda_to_cfg"),
+    "grammar": ("classical_pda_to_cfg", "pda_to_cfg", "prune_useless", "sspda_to_cfg"),
     "harness": ("EquivalenceReport", "differential_check", "routes"),
     "language": ("derivable_strings", "enumerate_language", "strings_up_to"),
     "model": ("DEFAULT_LIMITS", "QM", "START", "Cfg", "Configuration", "Limits", "Pda",

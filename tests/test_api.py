@@ -25,7 +25,6 @@ def test_public_names_are_exactly_these():
         "derivable_strings",
         "differential_check",
         "enumerate_language",
-        "generating_variables",
         "parse_cfg",
         "parse_pda",
         "parse_source",
@@ -34,7 +33,6 @@ def test_public_names_are_exactly_these():
         "prune_useless",
         "random_cfg",
         "random_pda",
-        "reachable_symbols",
         "render",
         "replay_configurations",
         "routes",

@@ -308,6 +308,7 @@ def test_pruning_a_grammar_leaves_its_walk_unchanged(cfg):
     pruned = prune_useless(cfg)
     derived = derivable_strings(cfg, 5)
     assert derived == derivable_strings(pruned, 5) == _member_loop(pruned, 5)
+    assert prune_useless(pruned) == pruned
 
 
 def test_enumerate_epsilon_grammar():

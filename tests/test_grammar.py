@@ -11,12 +11,10 @@ from pdacfg import (
     builtin_corpus,
     classical_pda_to_cfg,
     enumerate_language,
-    generating_variables,
     parse_pda,
     pda_to_cfg,
     prune_useless,
     random_pda,
-    reachable_symbols,
     sspda_to_cfg,
     to_single_state,
 )
@@ -138,6 +136,18 @@ def test_prune_drops_an_unreachable_variable():
     assert pruned.terminals == {"a", "b"}
 
 
+def test_prune_drops_non_generating_symbols_before_unreachable_ones():
+    # S reaches A only beside B, which derives nothing, so A is useless too;
+    # trimming for reachability first would keep A's productions.
+    cfg = Cfg({"S", "A", "B"}, {"a", "d"},
+              {("S", ("a",)), ("S", ("B", "A")), ("B", ("B",)), ("A", ("d", "A")),
+               ("A", ("d",))},
+              "S")
+    pruned = prune_useless(cfg)
+    assert pruned.productions == {("S", ("a",))}
+    assert pruned.variables == {"S"}
+
+
 def test_prune_keeps_a_useless_start_and_an_empty_language():
     cfg = Cfg({"S", "A"}, set(), {("S", ("A",)), ("A", ("A",))}, "S")
     pruned = prune_useless(cfg)
@@ -151,11 +161,8 @@ def test_prune_preserves_p1_and_survives_its_own_fixpoints():
     cfg = pda_to_cfg(parse_pda(P1_TEXT))
     pruned = prune_useless(cfg)
     assert enumerate_language(pruned, 8)[0] == enumerate_language(cfg, 8)[0]
-    gen = generating_variables(pruned)
-    reached = reachable_symbols(pruned)
-    for var in pruned.variables - {pruned.start}:
-        assert var in gen
-        assert var in reached
+    # every variable left but the start is generating and reachable
+    assert prune_useless(pruned) == pruned
 
 
 @given(pdas())
